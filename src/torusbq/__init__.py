@@ -23,6 +23,4 @@ from .spectral import (
     perp_grad_2d,
     sobolev_norm,
     stokes_apply,
-    to_physical,
-    to_spectral,
 )

@@ -32,7 +32,7 @@ from .io import (
     write_snapshot,
     write_timeseries,
 )
-from .ldp import ControlFamily, RareEvent, varadhan_gap
+from .ldp import FUNCTIONALS, ControlFamily, RareEvent, varadhan_gap
 from .mollifier import MollifierSpec, mollify
 from .solver import SolverConfig, State, run, run_ensemble
 
@@ -121,22 +121,8 @@ def cmd_skeleton(args) -> int:
     return _finish_run(record, config, harness, manifest)
 
 
-class _SummaryFunctionals:
-    """Standard ensemble functionals (picklable for worker processes)."""
-
-    names = ("terminal_l2_u", "sup_l2_u", "terminal_l2_theta")
-
-    @staticmethod
-    def terminal_l2_u(rec):
-        return rec.rows[-1].l2_u
-
-    @staticmethod
-    def sup_l2_u(rec):
-        return float(np.max(rec.column("l2_u")))
-
-    @staticmethod
-    def terminal_l2_theta(rec):
-        return rec.rows[-1].l2_theta
+#: ensemble summary columns, built from ldp.FUNCTIONALS
+_ENSEMBLE_FUNCTIONALS = ("terminal_l2_u", "sup_l2_u", "terminal_l2_theta")
 
 
 def cmd_ensemble(args) -> int:
@@ -144,23 +130,21 @@ def cmd_ensemble(args) -> int:
     n_paths = args.paths if args.paths is not None else 8
     manifest = _manifest(harness)
     functionals = {
-        name: getattr(_SummaryFunctionals, name) for name in _SummaryFunctionals.names
+        name: FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS
     }
     summary = run_ensemble(
         config, n_paths, harness.seed, functionals, full_diagnostics=False
     )
     paths_csv = harness.out_dir / "ensemble_paths.csv"
     with open(paths_csv, "w") as fh:
-        fh.write("path," + ",".join(_SummaryFunctionals.names) + "\n")
+        fh.write("path," + ",".join(_ENSEMBLE_FUNCTIONALS) + "\n")
         for p in range(n_paths):
             vals = ",".join(
                 format(summary.values[name][p], ".17g")
-                for name in _SummaryFunctionals.names
+                for name in _ENSEMBLE_FUNCTIONALS
             )
             fh.write(f"{p},{vals}\n")
-    blown = int(
-        np.sum(~np.isfinite(summary.values[_SummaryFunctionals.names[0]]))
-    )
+    blown = int(np.sum(~np.isfinite(summary.values[_ENSEMBLE_FUNCTIONALS[0]])))
     summary_json = harness.out_dir / "ensemble_summary.json"
     with open(summary_json, "w") as fh:
         json.dump(
@@ -212,14 +196,29 @@ def cmd_ldp_mc(args) -> int:
     settings = harness.ldp
     if settings is None or not np.isfinite(settings.threshold):
         raise ConfigError("[ldp].threshold: a finite threshold is required for ldp-mc")
+    if config.noise is None:
+        raise ConfigError("[noise].mode: ldp-mc needs an active [noise] section")
     params = {}
     if settings.functional == "terminal_mode_amplitude":
+        n_modes = config.noise.spec.truncation
+        if not 0 <= settings.mode_index < n_modes:
+            raise ConfigError(
+                f"[ldp].mode_index: {settings.mode_index} outside [0, {n_modes})"
+            )
         params["mode_index"] = settings.mode_index
-    event = RareEvent(
-        settings.functional, settings.threshold, settings.direction, params
-    )
+    try:
+        event = RareEvent(
+            settings.functional, settings.threshold, settings.direction, params
+        )
+    except ValueError as exc:
+        key = "direction" if str(exc).startswith("direction") else "functional"
+        raise ConfigError(f"[ldp].{key}: {exc}") from None
+    try:
+        family = ControlFamily(settings.family_blocks, settings.box_bound)
+    except ValueError as exc:
+        key = "box_bound" if str(exc).startswith("box") else "family_blocks"
+        raise ConfigError(f"[ldp].{key}: {exc}") from None
     n_paths = args.paths if args.paths is not None else settings.n_paths
-    family = ControlFamily(settings.family_blocks, settings.box_bound)
     manifest = _manifest(harness)
     table = varadhan_gap(
         config,

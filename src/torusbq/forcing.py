@@ -13,7 +13,7 @@ step index), so ensembles are reproducible in any evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -188,11 +188,11 @@ def default_mode_fields(grid: Grid, spec: QWienerSpec, amplitude: float = 1.0):
 class NoiseIntensity:
     """Maps Wiener basis modes to velocity-space forcing fields.
 
-    mode "off" forces nothing; "additive" returns the fixed base fields
-    (optionally scaled by a time envelope); "multiplicative" applies the
-    diagonal affine envelope (a0 + a1 u_i + a2 theta) componentwise.  The
-    linear-growth and Lipschitz constants C1 = |a0|+|a1|+|a2| and
-    C2 = |a1|+|a2| are exposed for reporting.
+    mode "off" forces nothing; "additive" returns the fixed base fields;
+    "multiplicative" applies the diagonal affine envelope
+    (a0 + a1 u_i + a2 theta) componentwise.  The linear-growth and Lipschitz
+    constants C1 = |a0|+|a1|+|a2| and C2 = |a1|+|a2| are exposed for
+    reporting.
     """
 
     mode: str
@@ -201,7 +201,6 @@ class NoiseIntensity:
     a0: float = 1.0
     a1: float = 0.0
     a2: float = 0.0
-    envelope: Optional[Callable[[float], float]] = None
     _stack: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -240,10 +239,7 @@ class NoiseIntensity:
         if self.mode == "off":
             raise ValueError("noise is off")
         if self.mode == "additive":
-            stack = self._stack
-            if self.envelope is not None:
-                stack = stack * float(self.envelope(t))
-            return stack
+            return self._stack
         b = np.stack(
             [
                 self.a0 + self.a1 * c.samples + self.a2 * theta.samples
@@ -255,16 +251,13 @@ class NoiseIntensity:
     def mode_field(self, index: int, u=None, theta=None, t: float = 0.0):
         """Single f(u, theta) e_k as a vector field (before projection)."""
         if self.mode == "additive" or self.mode == "off":
-            fld = self.base_fields[index]
-            if self.envelope is not None:
-                fld = fld * float(self.envelope(t))
-            return fld
+            return self.base_fields[index]
         samples = self.mode_samples(u, theta, t)[index]
         return SpectralVectorField.from_samples(self.grid, *samples)
 
 
-def additive_intensity(fields: Sequence[SpectralVectorField], envelope=None):
-    return NoiseIntensity("additive", base_fields=tuple(fields), envelope=envelope)
+def additive_intensity(fields: Sequence[SpectralVectorField]):
+    return NoiseIntensity("additive", base_fields=tuple(fields))
 
 
 def multiplicative_intensity(

@@ -330,12 +330,19 @@ def parse_config(path) -> tuple:
         where = f"[{section_of[hint]}].{hint}: " if hint else ""
         raise ConfigError(f"{where}{msg}") from None
 
+    raw_eps = values[("ldp", "eps_list")]
+    try:
+        eps_list = [float(x) for x in raw_eps.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"[ldp].eps_list: cannot parse {raw_eps!r} as comma-separated floats"
+        ) from None
     ldp = LdpSettings(
         functional=values[("ldp", "functional")],
         mode_index=values[("ldp", "mode_index")],
         threshold=values[("ldp", "threshold")],
         direction=values[("ldp", "direction")],
-        eps_list=[float(x) for x in values[("ldp", "eps_list")].split(",") if x.strip()],
+        eps_list=eps_list,
         n_paths=values[("ldp", "n_paths")],
         family_blocks=values[("ldp", "family_blocks")],
         box_bound=values[("ldp", "box_bound")],

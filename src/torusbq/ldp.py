@@ -4,11 +4,12 @@ The skeleton map sends a control h (piecewise-constant in time, one H0
 coordinate per retained noise mode) to the noiseless trajectory driven by the
 drift P f h.  Its quadratic energy  1/2 int |h(t)|_{H0}^2 dt  prices every
 trajectory the control can reach, and the minimal price of a rare event is
-estimated by a nested search over a finite-dimensional control family, so the
-reported optimum is an upper bound on the true rate.  Monte Carlo tables of
--eps log p_hat against that bound give the numerical face of the small-noise
-asymptotics.  Girsanov densities are never simulated; everything is costed
-directly through the skeleton.
+estimated by a constrained solve (SLSQP, the event as an inequality
+constraint) over a finite-dimensional control family, so the reported optimum
+is an upper bound on the true rate.  Monte Carlo tables of -eps log p_hat
+against that bound give the numerical face of the small-noise asymptotics.
+Girsanov densities are never simulated; everything is costed directly through
+the skeleton.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 from .forcing import QWienerSpec
@@ -116,12 +117,6 @@ class RareEvent:
         if self.direction == "ge":
             return value >= self.threshold
         return value <= self.threshold
-
-    def shortfall(self, value: float) -> float:
-        """Nonnegative distance from realizing the event."""
-        if self.direction == "ge":
-            return max(0.0, self.threshold - value)
-        return max(0.0, value - self.threshold)
 
 
 # -- control cost and skeleton ---------------------------------------------------
@@ -244,136 +239,114 @@ class MinimizeResult:
     n_evaluations: int
 
 
+#: SLSQP starts per minimisation: the zero control plus seeded uniform restarts
+N_STARTS = 3
+#: SLSQP iteration cap; without it an unreachable event stalls SLSQP near zero
+MAX_ITER = 20
+
+
 def minimize_cost(
     event: RareEvent,
     family: ControlFamily,
     config: SolverConfig,
-    n_restarts: int = 3,
-    n_sweeps: int = 20,
     seed: int = 0,
-    xatol: float = 1e-5,
 ) -> MinimizeResult:
     """Search the family for the cheapest control whose skeleton hits the event.
 
-    Coordinate descent with a bounded golden-section line search on a
-    quadratically penalised objective, restarted from several seeds.  The
-    penalty weight is raised along a ladder with warm starts: a stiff penalty
-    from a cold start jams coordinate descent against the constraint surface,
-    while the graduated solve tracks the minimiser as the constraint
-    tightens.  The best candidate is finally rescaled (bisection on the
-    amplitude) so the returned control realizes the event, and its exact cost
-    is reported.  Returns an explicit infeasibility result when no member of
-    the family realizes the event.
+    One SLSQP solve per start minimises the exact quadratic cost (analytic
+    gradient: block duration times parameter) over the box, with the event
+    as an inequality constraint whose finite-difference gradient costs one
+    skeleton solve per parameter.  The starts are the zero control and
+    seeded uniform draws from the inner quarter of the box.  A converged
+    point that misses the threshold by rounding is rescaled (bracket and
+    bisection on the amplitude) until it realizes the event; a start that
+    neither converges nor realizes the event is dropped.  The exact cost of
+    the cheapest realizing candidate is reported.  Returns an explicit
+    infeasibility result when no start reaches the event.
     """
-    spec = config.noise.spec
-    n_modes = spec.truncation
+    n_modes = config.noise.spec.truncation
     t_end = config.t_end
+    shape = (family.n_blocks, n_modes)
     functional = event.build(config)
-    evals = 0
+    values = {}  # parameter bytes -> functional value; SLSQP revisits points
 
     def trajectory_value(params) -> float:
-        nonlocal evals
-        evals += 1
-        rec = solve_skeleton(
-            config,
-            family.control(params, t_end),
-            full_diagnostics=event.needs_full_diagnostics,
-        )
-        return functional(rec)
-
-    def objective(params, weight) -> float:
-        value = trajectory_value(params)
-        cost = control_cost(family.control(params, t_end), spec, t_end)
-        return cost + weight * event.shortfall(value) ** 2
+        params = np.asarray(params, dtype=np.float64).reshape(shape)
+        key = params.tobytes()
+        if key not in values:
+            rec = solve_skeleton(
+                config,
+                family.control(params, t_end),
+                full_diagnostics=event.needs_full_diagnostics,
+            )
+            values[key] = functional(rec)
+        return values[key]
 
     # zero control may already realize the event
-    zero_value = trajectory_value(np.zeros((family.n_blocks, n_modes)))
+    zero = np.zeros(shape)
+    zero_value = trajectory_value(zero)
     if event.realized(zero_value):
-        return MinimizeResult(True, 0.0, Control.zero(n_modes), zero_value, evals)
+        return MinimizeResult(True, 0.0, Control.zero(n_modes), zero_value, len(values))
 
-    rng = np.random.default_rng(seed)
+    weight = t_end / family.n_blocks  # block duration
+    sign = 1.0 if event.direction == "ge" else -1.0
+    constraint = {
+        "type": "ineq",
+        "fun": lambda p: sign * (trajectory_value(p) - event.threshold),
+    }
     B = family.box_bound
-
-    # calibrate the penalty so its curvature matches the cost's: with
-    # W0 = cost(probe) / dF(probe)^2 the penalised surface is well
-    # conditioned and coordinate descent tracks its minimiser
-    probe = np.full((family.n_blocks, n_modes), 0.1 * B)
-    reach = abs(trajectory_value(probe) - zero_value)
-    if reach <= 0:
-        reach = abs(trajectory_value(-probe) - zero_value)
-    probe_cost = control_cost(family.control(probe, t_end), spec, t_end)
-    if reach <= 0 or probe_cost <= 0:
-        w_base = 1.0
-    else:
-        w_base = probe_cost / reach**2
-
-    starts = [np.zeros((family.n_blocks, n_modes))]
-    for _ in range(max(0, n_restarts - 1)):
-        starts.append(rng.uniform(-B / 4, B / 4, size=(family.n_blocks, n_modes)))
-
-    # Only soft penalty stages: they are well conditioned, so the descent
-    # converges to the penalised optimum, whose SHAPE already matches the
-    # constrained optimum to high order; the feasibility rescaling below then
-    # supplies the exact amplitude.  Stiff stages would jam the sweep against
-    # the constraint surface and distort the shape.
+    rng = np.random.default_rng(seed)
+    starts = [zero] + [
+        rng.uniform(-B / 4, B / 4, size=shape) for _ in range(N_STARTS - 1)
+    ]
     best_params, best_cost = None, np.inf
     for start in starts:
-        params = start.copy()
-        for weight in (w_base, 10.0 * w_base):
-            current = objective(params, weight)
-            for _ in range(n_sweeps):
-                before = current
-                for b in range(family.n_blocks):
-                    for m in range(n_modes):
-                        def line(x):
-                            trial = params.copy()
-                            trial[b, m] = x
-                            return objective(trial, weight)
-
-                        res = minimize_scalar(
-                            line, bounds=(-B, B), method="bounded",
-                            options={"xatol": xatol},
-                        )
-                        if res.fun < current:
-                            params[b, m] = res.x
-                            current = res.fun
-                if before - current < 1e-11 * (1 + abs(current)):
-                    break
-        polished = _feasibility_scaling(params, trajectory_value, event, B)
-        if polished is None:
-            continue
-        cost = control_cost(family.control(polished, t_end), spec, t_end)
+        res = minimize(
+            lambda p: (0.5 * weight * p @ p, weight * p),
+            start.ravel(),
+            jac=True,
+            method="SLSQP",
+            bounds=[(-B, B)] * start.size,
+            constraints=constraint,
+            options={"maxiter": MAX_ITER},
+        )
+        params = res.x.reshape(shape)
+        if not event.realized(trajectory_value(params)):
+            if not res.success:
+                continue
+            params = _feasibility_scaling(params, trajectory_value, event, B)
+            if params is None:
+                continue
+        cost = control_cost(family.control(params, t_end), config.noise.spec, t_end)
         if cost < best_cost:
-            best_cost, best_params = cost, polished
+            best_cost, best_params = cost, params
     if best_params is None:
-        return MinimizeResult(False, np.inf, None, np.nan, evals)
+        return MinimizeResult(False, np.inf, None, np.nan, len(values))
     h = family.control(best_params, t_end)
     value = trajectory_value(best_params)
-    return MinimizeResult(True, best_cost, h, value, evals)
+    return MinimizeResult(True, best_cost, h, value, len(values))
 
 
 def _feasibility_scaling(params, trajectory_value, event, box_bound):
-    """Smallest amplitude scaling of params that realizes the event."""
-    if params is None or not np.any(params):
+    """Smallest amplitude scaling t > 1 (to relative precision 1e-9) such that
+    t * params realizes the event, or None once the box stops the growth.
+
+    params misses the threshold, usually by rounding only, so the bracket
+    grows outward from a relative step of 1e-9.
+    """
+    if not np.any(params):
         return None
-    sup = np.max(np.abs(params))
-    t_max = box_bound / sup
-    lo, hi = 0.0, 1.0
-    if not event.realized(trajectory_value(params)):
-        # grow until feasible (within the box)
-        hi = None
-        t = 1.0
-        while t < t_max:
-            t = min(2.0 * t, t_max)
-            if event.realized(trajectory_value(t * params)):
-                hi = t
-                break
-            if t >= t_max:
-                break
-        if hi is None:
+    t_max = box_bound / np.max(np.abs(params))
+    lo, hi, step = 1.0, None, 1e-9
+    while hi is None:
+        if lo >= t_max:
             return None
-        lo = hi / 2.0
-    for _ in range(50):
+        t = min(lo * (1.0 + step), t_max)
+        if event.realized(trajectory_value(t * params)):
+            hi = t
+        else:
+            lo, step = t, 8.0 * step
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if event.realized(trajectory_value(mid * params)):
             hi = mid

@@ -52,8 +52,6 @@ from .spectral import (
 )
 from .transport import AdvectionScheme, advect, cfl_number, grad_sup, velocity_grad_sup
 
-DIV_FREE_TOL = 1e-10
-
 
 class BlowUpError(RuntimeError):
     """A step produced non-finite values; carries the offending diagnostic."""
@@ -380,9 +378,6 @@ class TrajectoryRecord:
     @property
     def times(self) -> np.ndarray:
         return self.column("t")
-
-    def sup(self, name: str) -> float:
-        return float(np.max(self.column(name)))
 
 
 def _l2_from_coeffs(field) -> float:

@@ -222,24 +222,6 @@ class SpectralVectorField:
     def __neg__(self):
         return self * -1.0
 
-    def magnitude_samples(self):
-        """Pointwise Euclidean magnitude |v|(x)."""
-        return np.sqrt(reduce(np.add, (c.samples**2 for c in self.components)))
-
-
-def to_spectral(field: SpectralScalarField) -> SpectralScalarField:
-    """Materialise the spectral view (both views clean afterwards)."""
-    field.coefficients
-    field.samples
-    return field
-
-
-def to_physical(field: SpectralScalarField) -> SpectralScalarField:
-    """Materialise the physical view (both views clean afterwards)."""
-    field.samples
-    field.coefficients
-    return field
-
 
 def _component_fields(field):
     if isinstance(field, SpectralVectorField):

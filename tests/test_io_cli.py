@@ -201,6 +201,37 @@ quiet = true
 """
 
 
+LDP_CONFIG = """
+[domain]
+dimension = 2
+resolution = 8
+
+[time]
+dt = 0.025
+t_end = 0.25
+
+[physics]
+cutoff_R = 1e-12
+
+[noise]
+mode = additive
+n_modes = 1
+include_mean_mode = false
+epsilon = 0.04
+
+[ldp]
+functional = terminal_mode_amplitude
+threshold = 0.05
+eps_list = 0.04,0.02
+n_paths = 120
+family_blocks = 2
+
+[output]
+directory = {out}
+quiet = true
+"""
+
+
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -323,37 +354,8 @@ quiet = true
         assert np.max(np.abs(smoothed.theta.samples - expect)) < 1e-12
 
     def test_ldp_mc_outputs(self, tmp_path):
-        text = """
-[domain]
-dimension = 2
-resolution = 8
-
-[time]
-dt = 0.025
-t_end = 0.25
-
-[physics]
-cutoff_R = 1e-12
-
-[noise]
-mode = additive
-n_modes = 1
-include_mean_mode = false
-epsilon = 0.04
-
-[ldp]
-functional = terminal_mode_amplitude
-threshold = 0.05
-eps_list = 0.04,0.02
-n_paths = 120
-family_blocks = 2
-
-[output]
-directory = {out}
-quiet = true
-"""
         out = tmp_path / "ldp"
-        cfg = write_config(tmp_path, text.format(out=out))
+        cfg = write_config(tmp_path, LDP_CONFIG.format(out=out))
         assert main(["ldp-mc", "--config", str(cfg)]) == 0
         lines = (out / "varadhan.csv").read_text().splitlines()
         assert (
@@ -361,3 +363,31 @@ quiet = true
             == "epsilon,n_paths,p_hat,ci_low,ci_high,neg_eps_log_p,best_cost"
         )
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eps_list", "0.04,abc"),
+            ("functional", "bogus"),
+            ("direction", "above"),
+            ("family_blocks", "0"),
+            ("mode_index", "5"),
+        ],
+    )
+    def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, key, value):
+        lines = [
+            line
+            for line in LDP_CONFIG.format(out=tmp_path / "ldp").splitlines()
+            if not line.startswith(f"{key} =")
+        ]
+        lines.insert(lines.index("[ldp]") + 1, f"{key} = {value}")
+        cfg = write_config(tmp_path, "\n".join(lines))
+        assert main(["ldp-mc", "--config", str(cfg)]) == 1
+        assert f"error: [ldp].{key}: " in capsys.readouterr().err
+
+    def test_ldp_mc_needs_noise(self, tmp_path, capsys):
+        text = f"\n[ldp]\nthreshold = 0.05\n\n[output]\ndirectory = {tmp_path}\n"
+        cfg = write_config(tmp_path, MINIMAL + text)
+        assert main(["ldp-mc", "--config", str(cfg)]) == 1
+        assert "error: [noise].mode: " in capsys.readouterr().err
+

@@ -203,16 +203,18 @@ class TestMinimizeCost:
         assert res.feasible
         assert res.cost == 0.0
 
-    def test_matches_lq_oracle(self):
+    @pytest.mark.parametrize("direction, a", [("ge", 0.1), ("le", -0.1)])
+    def test_matches_lq_oracle(self, direction, a):
         dt, T = 0.0125, 0.25
         n_blocks = 4
         cfg = toy_config(dt=dt, t_end=T)
-        a = 0.1
-        event = RareEvent("terminal_mode_amplitude", a)
+        event = RareEvent("terminal_mode_amplitude", a, direction)
         res = minimize_cost(event, ControlFamily(n_blocks, box_bound=10.0), cfg)
         oracle = block_lq_optimum(a, dt, int(round(T / dt)), n_blocks)
         assert res.feasible
+        assert event.realized(res.value)
         assert abs(res.cost - oracle) <= 0.02 * oracle
+        assert res.n_evaluations < 200
 
     def test_doubling_target_quadruples_cost(self):
         dt, T = 0.0125, 0.25
@@ -232,6 +234,7 @@ class TestMinimizeCost:
         assert not res.feasible
         assert res.control is None
         assert res.cost == np.inf
+        assert res.n_evaluations <= 464
 
 
 class TestVaradhan:
