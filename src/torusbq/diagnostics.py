@@ -67,8 +67,7 @@ def biot_savart(w: SpectralScalarField) -> SpectralVectorField:
     mean = c[g.mode_index((0, 0))]
     if abs(mean) > 1e-12 * max(sobolev_norm(w, 0), 1e-300):
         raise ValueError(f"vorticity must be mean-free, measured mean {mean:.3e}")
-    k2 = np.where(g.k2_masked == 0.0, 1.0, g.k2_masked)
-    psi = np.where(g.k2_masked == 0.0, 0.0, -c / k2)
+    psi = np.where(g.k2_masked == 0.0, 0.0, -c / g.k2_safe)
     u1 = -g.deriv[1] * psi
     u2 = g.deriv[0] * psi
     return SpectralVectorField(
@@ -108,7 +107,7 @@ def _curled_noise_aggregate(config: SolverConfig, state: State) -> float:
         lam = noise.spec.eigenvalues[i]
         if lam == 0.0:
             continue
-        fe = noise.intensity.mode_field(i, state.u, state.theta, state.t)
+        fe = noise.intensity.mode_field(i, state.u, state.theta)
         grad_curl = gradient(curl_2d(fe))
         agg += lam * (
             grad_curl.components[0].samples ** 2 + grad_curl.components[1].samples ** 2
@@ -231,13 +230,13 @@ def energy_budget(record: TrajectoryRecord) -> np.ndarray:
 # -- vorticity-form consistency --------------------------------------------------
 
 
-def _curled_mode_data(config, u, theta, t):
+def _curled_mode_data(config, u, theta):
     """Per-mode curl fields and spatial means of the forcing at a state."""
     noise = config.noise
     curls = []
     means = []
     for i in range(noise.spec.truncation):
-        fe = noise.intensity.mode_field(i, u, theta, t)
+        fe = noise.intensity.mode_field(i, u, theta)
         curls.append(curl_2d(fe).coefficients)
         means.append(
             np.array(
@@ -311,7 +310,7 @@ def vorticity_consistency(
         rhs = cn_minus * w.coefficients + dt * (-adv_hat + buoy_hat)
         if eps > 0:
             inc = sample_increment(config.noise.spec, dt, stream, j)
-            curls, means = _curled_mode_data(config, u_full, theta, j * dt)
+            curls, means = _curled_mode_data(config, u_full, theta)
             weights = np.sqrt(eps * config.noise.spec.eigenvalues) * inc.coefficients
             for wgt, ck, mk in zip(weights, curls, means):
                 rhs = rhs + wgt * ck

@@ -215,11 +215,10 @@ class NoiseIntensity:
                 self.grid = grid
             if any(f.grid != grid for f in self.base_fields):
                 raise ValueError("base fields live on different grids")
-            self._stack = np.stack(
-                [
-                    np.stack([c.samples for c in f.components])
-                    for f in self.base_fields
-                ]
+            # the base fields become views of the one stack the sums read
+            self._stack = np.stack([f.samples for f in self.base_fields])
+            self.base_fields = tuple(
+                SpectralVectorField.from_sample_stack(grid, s) for s in self._stack
             )
 
     @property
@@ -234,26 +233,21 @@ class NoiseIntensity:
     def growth_constant(self) -> float:
         return abs(self.a0) + abs(self.a1) + abs(self.a2)
 
-    def mode_samples(self, u, theta, t: float = 0.0) -> np.ndarray:
-        """Stacked (n_modes, d, grid) samples of f(u, theta) e_k at time t."""
+    def mode_samples(self, u, theta) -> np.ndarray:
+        """Stacked (n_modes, d, grid) samples of f(u, theta) e_k."""
         if self.mode == "off":
             raise ValueError("noise is off")
         if self.mode == "additive":
             return self._stack
-        b = np.stack(
-            [
-                self.a0 + self.a1 * c.samples + self.a2 * theta.samples
-                for c in u.components
-            ]
-        )
-        return self._stack * b[np.newaxis]
+        envelope = self.a0 + self.a1 * u.samples + self.a2 * theta.samples
+        return self._stack * envelope
 
-    def mode_field(self, index: int, u=None, theta=None, t: float = 0.0):
+    def mode_field(self, index: int, u=None, theta=None):
         """Single f(u, theta) e_k as a vector field (before projection)."""
         if self.mode == "additive" or self.mode == "off":
             return self.base_fields[index]
-        samples = self.mode_samples(u, theta, t)[index]
-        return SpectralVectorField.from_samples(self.grid, *samples)
+        samples = self.mode_samples(u, theta)[index]
+        return SpectralVectorField.from_sample_stack(self.grid, samples)
 
 
 def additive_intensity(fields: Sequence[SpectralVectorField]):
@@ -277,7 +271,7 @@ def _check_counts(f: NoiseIntensity, spec: QWienerSpec):
 
 
 def weighted_sum(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, weights, t: float = 0.0
+    f: NoiseIntensity, spec: QWienerSpec, u, theta, weights
 ) -> SpectralVectorField:
     """Leray projection of sum_k sqrt(lambda_k) weights_k f(u, theta) e_k.
 
@@ -291,22 +285,20 @@ def weighted_sum(
         return SpectralVectorField.zero(grid)
     if weights.shape != (spec.truncation,):
         raise ValueError("one weight per retained mode required")
-    stack = f.mode_samples(u, theta, t)
+    stack = f.mode_samples(u, theta)
     w = np.sqrt(spec.eigenvalues) * weights
     summed = np.einsum("m,md...->d...", w, stack)
-    return leray_project(SpectralVectorField.from_samples(grid, *summed))
+    return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
 
 
 def apply_noise(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, inc: NoiseIncrement, t: float = 0.0
+    f: NoiseIntensity, spec: QWienerSpec, u, theta, inc: NoiseIncrement
 ) -> SpectralVectorField:
     """P sum_k sqrt(lambda_k) f(u, theta) e_k dW_k; divergence-free output."""
-    return weighted_sum(f, spec, u, theta, inc.coefficients, t)
+    return weighted_sum(f, spec, u, theta, inc.coefficients)
 
 
-def hs_norm(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, s: int, t: float = 0.0
-) -> float:
+def hs_norm(f: NoiseIntensity, spec: QWienerSpec, u, theta, s: int) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2)."""
     _check_counts(f, spec)
     if f.mode == "off" or spec.truncation == 0:
@@ -316,7 +308,7 @@ def hs_norm(
         lam = spec.eigenvalues[i]
         if lam == 0.0:
             continue
-        projected = leray_project(f.mode_field(i, u, theta, t))
+        projected = leray_project(f.mode_field(i, u, theta))
         total += lam * sobolev_norm(projected, s) ** 2
     return float(np.sqrt(total))
 

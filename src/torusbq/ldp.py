@@ -42,16 +42,13 @@ class _TerminalModeAmplitude:
 
     def __init__(self, config: SolverConfig, mode_index: int = 0):
         base = config.noise.intensity.base_fields[mode_index]
-        self.base_coeffs = [c.coefficients for c in base.components]
+        self.base_coeffs = base.coefficients
         self.norm_sq = lp_norm(base, 2) ** 2
         self.dim = base.grid.dimension
 
     def __call__(self, record: TrajectoryRecord) -> float:
-        u = record.final_state.u
-        inner = sum(
-            np.sum(np.conj(b) * c.coefficients).real
-            for b, c in zip(self.base_coeffs, u.components)
-        )
+        b, c = self.base_coeffs, record.final_state.u.coefficients
+        inner = (b.real * c.real + b.imag * c.imag).sum()
         return float((2 * np.pi) ** self.dim * inner / self.norm_sq)
 
 

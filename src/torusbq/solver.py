@@ -17,6 +17,10 @@ explicit, noise evaluated at the pre-step state (Ito convention).  The
 cut-off argument |grad u|_inf is frozen once per step, so stepping is
 bit-identical to the untruncated scheme while phi = 1 and the nonlinear and
 advective contributions vanish exactly once phi = 0.
+
+grad u is computed once per state (spectral.gradient_summary, cached on the
+velocity field): the diagnostic row's |grad u|_inf, the next step's cut-off
+and that step's (u . grad) u all read the same transform.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .spectral import (
     divergence_defect,
     galerkin_project,
     gradient,
+    gradient_summary,
     implicit_diffusion_solve,
     leray_project,
     lp_norm,
@@ -222,25 +227,18 @@ def cutoff(x: float, R: float) -> float:
 
 def _advection_term(u: SpectralVectorField) -> SpectralVectorField:
     """(u . grad) u, pseudo-spectral with 2/3 dealiasing of the products."""
-    grid = u.grid
-    u_samples = [c.samples for c in u.components]
-    comps = []
-    for i in range(grid.dimension):
-        grads = gradient(u.components[i]).components
-        total = u_samples[0] * grads[0].samples
-        for j in range(1, grid.dimension):
-            total += u_samples[j] * grads[j].samples
-        comps.append(total)
-    return dealias(SpectralVectorField.from_samples(grid, *comps))
+    advection = gradient_summary(u).advection
+    return dealias(SpectralVectorField.from_sample_stack(u.grid, advection))
 
 
 def _buoyancy_term(theta: SpectralScalarField) -> SpectralVectorField:
     grid = theta.grid
-    if not np.any(theta.coefficients):
+    c = theta.coefficients
+    if not np.any(c):
         return SpectralVectorField.zero(grid)
-    zero = SpectralScalarField.from_coefficients(grid, np.zeros(grid.shape, dtype=complex))
-    comps = [zero] * (grid.dimension - 1) + [theta]
-    return leray_project(SpectralVectorField(comps))
+    stack = np.zeros((grid.dimension,) + grid.shape, dtype=np.complex128)
+    stack[-1] = c
+    return leray_project(SpectralVectorField.from_coefficient_stack(grid, stack))
 
 
 def momentum_rhs(state: State, config: SolverConfig):
@@ -258,9 +256,8 @@ def momentum_rhs(state: State, config: SolverConfig):
     drift = _buoyancy_term(theta)
     if config.control is not None:
         h = config.control.value_at(state.t)
-        drift = drift + weighted_sum(
-            config.noise.intensity, config.noise.spec, u, theta, h, state.t
-        )
+        noise = config.noise
+        drift = drift + weighted_sum(noise.intensity, noise.spec, u, theta, h)
     if phi != 0.0:
         drift = drift - phi * leray_project(_advection_term(u))
     if config.galerkin_modes is not None:
@@ -281,17 +278,8 @@ def step(
     """
     dt = config.dt
     drift, phi = momentum_rhs(state, config)
-    pre = state.u + dt * drift
-    if config.epsilon > 0:
-        inc = sample_increment(config.noise.spec, dt, stream, step_index)
-        forcing = apply_noise(
-            config.noise.intensity, config.noise.spec, state.u, state.theta, inc, state.t
-        )
-        if config.galerkin_modes is not None:
-            forcing = galerkin_project(forcing, config.galerkin_modes)
-        pre = pre + math.sqrt(config.epsilon) * forcing
-    u_new = implicit_diffusion_solve(pre, dt, config.viscosity)
-
+    # transport first: it reads only the old state, and runs before the
+    # velocity update's temporaries exist, which keeps the peak memory down
     if phi == 0.0:
         theta_new = state.theta
         cfl = 0.0
@@ -300,9 +288,22 @@ def step(
         cfl = cfl_number(u_adv, dt)
         theta_new = advect(state.theta, u_adv, dt, config.scheme)
 
-    for i, comp in enumerate(u_new.components):
-        if not np.all(np.isfinite(comp.coefficients)):
-            raise BlowUpError(f"velocity component {i + 1}", state.t + dt)
+    pre = state.u + dt * drift
+    if config.epsilon > 0:
+        inc = sample_increment(config.noise.spec, dt, stream, step_index)
+        forcing = apply_noise(
+            config.noise.intensity, config.noise.spec, state.u, state.theta, inc
+        )
+        if config.galerkin_modes is not None:
+            forcing = galerkin_project(forcing, config.galerkin_modes)
+        pre = pre + math.sqrt(config.epsilon) * forcing
+    u_new = implicit_diffusion_solve(pre, dt, config.viscosity)
+
+    finite = np.isfinite(u_new.coefficients)
+    if not finite.all():
+        per_component = finite.reshape(config.grid.dimension, -1).all(axis=1)
+        first_bad = int(np.argmin(per_component))
+        raise BlowUpError(f"velocity component {first_bad + 1}", state.t + dt)
     if not np.all(np.isfinite(theta_new.samples)):
         raise BlowUpError("temperature", state.t + dt)
     info = {
@@ -381,25 +382,21 @@ class TrajectoryRecord:
 
 
 def _l2_from_coeffs(field) -> float:
-    grid = field.grid if hasattr(field, "grid") else field.components[0].grid
-    comps = field.components if isinstance(field, SpectralVectorField) else (field,)
-    total = sum(np.sum(np.abs(c.coefficients) ** 2) for c in comps)
-    return float(np.sqrt((2 * np.pi) ** grid.dimension * total))
+    c = field.coefficients
+    total = (c.real**2 + c.imag**2).sum()
+    return float(np.sqrt((2 * np.pi) ** field.grid.dimension * total))
 
 
 def _grad_l2_from_coeffs(v: SpectralVectorField) -> float:
-    grid = v.grid
-    total = sum(np.sum(grid.k2_masked * np.abs(c.coefficients) ** 2) for c in v.components)
-    return float(np.sqrt((2 * np.pi) ** grid.dimension * total))
+    c = v.coefficients
+    total = (v.grid.k2_masked * (c.real**2 + c.imag**2)).sum()
+    return float(np.sqrt((2 * np.pi) ** v.grid.dimension * total))
 
 
-def _l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
-    grid = a.grid
-    total = sum(
-        np.sum(np.conj(ca.coefficients) * cb.coefficients).real
-        for ca, cb in zip(a.components, b.components)
-    )
-    return float((2 * np.pi) ** grid.dimension * total)
+def _l2_inner(a, b) -> float:
+    ca, cb = a.coefficients, b.coefficients
+    total = (ca.real * cb.real + ca.imag * cb.imag).sum()
+    return float((2 * np.pi) ** a.grid.dimension * total)
 
 
 def _diagnostic_row(state: State, config: SolverConfig, full: bool) -> StepRow:
@@ -433,18 +430,25 @@ def _diagnostic_row(state: State, config: SolverConfig, full: bool) -> StepRow:
 
 
 def _energy_residual(prev: State, new: State, config: SolverConfig) -> float:
-    """Trapezoid residual of d|u|^2 + 2 nu |grad u|^2 dt = 2 (theta e_d, u) dt."""
+    """Trapezoid residual of d|u|^2 + 2 nu |grad u|^2 dt = 2 (theta e_d, u) dt.
+
+    The buoyancy work (P theta e_d, u_mid) is taken as (theta e_d, u_mid):
+    P is self-adjoint and both velocities are solenoidal, so P u_mid = u_mid
+    and the step's buoyancy term need not be projected again here.
+    """
     dt = config.dt
     mid_grad_sq = 0.5 * (
         _grad_l2_from_coeffs(prev.u) ** 2 + _grad_l2_from_coeffs(new.u) ** 2
     )
-    u_mid = 0.5 * (prev.u + new.u)
-    buoy = _buoyancy_term(prev.theta)
+    theta = prev.theta
+    work = 0.5 * (
+        _l2_inner(theta, prev.u.components[-1]) + _l2_inner(theta, new.u.components[-1])
+    )
     return (
         _l2_from_coeffs(new.u) ** 2
         - _l2_from_coeffs(prev.u) ** 2
         + 2.0 * dt * config.viscosity * mid_grad_sq
-        - 2.0 * dt * _l2_inner(buoy, u_mid)
+        - 2.0 * dt * work
     )
 
 

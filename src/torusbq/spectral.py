@@ -10,15 +10,26 @@ so a single mode sin(x_1) has u_hat(+-e_1) = -+ i/2 and the discrete Sobolev
 norm  sqrt(sum_k (1+|k|^2)^s |u_hat(k)|^2)  needs no extra constants.
 
 Derivative multipliers zero the Nyquist mode (k = n/2) so derivatives of real
-fields stay real.  Fields cache both representations and are treated as
-immutable; operations return new fields.
+fields stay real.
+
+Storage.  A scalar field holds an (n,)*d samples array and an (n,)*d complex
+coefficients array; a vector field holds one (d, n, ..., n) stack of each, and
+its `components` are scalar views into those stacks.  Either representation
+is computed from the other on first access by one batched scipy.fft call over
+the spatial axes, whatever the number of components, and operators work on
+whole stacks.  Fields are immutable: operations return new fields, so a
+quantity derived from a field can be cached on it.  The velocity gradient is
+one: gradient_summary transforms grad u once per velocity field and keeps
+|grad u|_inf and the samples of (u . grad) u for every later consumer.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 #: Largest Sobolev index accepted by sobolev_norm.
 SOBOLEV_INDEX_CAP = 8
@@ -32,6 +43,7 @@ class Grid:
     Attributes:
         dimension: spatial dimension, 2 or 3.
         n: points per axis (power of two, >= 4).
+        axes: the spatial axes (-d, ..., -1) every transform runs over.
         k1d: per-axis integer wavenumbers in FFT layout, Nyquist labelled +n/2.
         k2: |k|^2 on the full mode grid.
         phase: (-1)^(k_1+...+k_d), converts FFT phases to x in (-pi, pi)^d.
@@ -47,6 +59,7 @@ class Grid:
         self.dimension = dimension
         self.n = n
         self.shape = (n,) * dimension
+        self.axes = tuple(range(-dimension, 0))
         self.spacing = 2.0 * np.pi / n
         self.cell_volume = self.spacing**dimension
 
@@ -72,6 +85,8 @@ class Grid:
         # Leray projector so div(P v) vanishes under the same convention.
         self.k_masked = [d.imag.copy() for d in derivs]
         self.k2_masked = reduce(np.add, (km**2 for km in self.k_masked))
+        # |k|^2 with the modes no derivative sees set to 1, a safe divisor
+        self.k2_safe = np.where(self.k2_masked == 0.0, 1.0, self.k2_masked)
         self.k2 = reduce(np.add, (ka.astype(np.float64) ** 2 for ka in axes))
         ksum = reduce(np.add, axes)
         self.phase = np.where(ksum % 2 == 0, 1.0, -1.0)
@@ -88,7 +103,7 @@ class Grid:
         return tuple(int(ki) % self.n for ki in k)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Grid)
             and other.dimension == self.dimension
             and other.n == self.n
@@ -101,7 +116,71 @@ class Grid:
         return f"Grid(dimension={self.dimension}, n={self.n})"
 
 
-class SpectralScalarField:
+def _to_coefficients(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Coefficients of samples shaped (..., n, ..., n); one transform call."""
+    coeffs = scipy.fft.fftn(samples, axes=grid.axes, norm="forward")
+    coeffs *= grid.phase
+    return coeffs
+
+
+def _to_samples(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of coefficients shaped (..., n, ..., n); one transform call."""
+    values = scipy.fft.ifftn(
+        coeffs * grid.phase, axes=grid.axes, norm="forward", overwrite_x=True
+    )
+    return values.real.copy()
+
+
+def _abs2(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs.real**2 + coeffs.imag**2
+
+
+class _Field:
+    """Samples and coefficients arrays over the trailing d axes of a grid.
+
+    Either array is computed from the other on first access and cached.
+    Fields are immutable; arithmetic returns new fields of the same kind.
+    """
+
+    __slots__ = ("grid", "_samples", "_coeffs")
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = _to_samples(self.grid, self._coeffs)
+        return self._samples
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        if self._coeffs is None:
+            self._coeffs = _to_coefficients(self.grid, self._samples)
+        return self._coeffs
+
+    def _with_coefficients(self, coeffs):
+        raise NotImplementedError
+
+    def __add__(self, other):
+        self._check(other)
+        return self._with_coefficients(self.coefficients + other.coefficients)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._with_coefficients(self.coefficients - other.coefficients)
+
+    def __mul__(self, scalar):
+        return self._with_coefficients(self.coefficients * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def _check(self, other):
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
+
+
+class SpectralScalarField(_Field):
     """Real scalar field with lazily synchronised physical/spectral views.
 
     Construct with from_samples or from_coefficients; the missing
@@ -109,7 +188,7 @@ class SpectralScalarField:
     immutable once both views exist.
     """
 
-    __slots__ = ("grid", "_samples", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, grid: Grid, samples=None, coeffs=None):
         if samples is None and coeffs is None:
@@ -134,57 +213,62 @@ class SpectralScalarField:
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralScalarField":
-        return cls(grid, samples=np.zeros(grid.shape))
-
-    @property
-    def samples(self):
-        if self._samples is None:
-            g = self.grid
-            self._samples = np.real(np.fft.ifftn(self._coeffs * g.phase)) * g.n**g.dimension
-        return self._samples
-
-    @property
-    def coefficients(self):
-        if self._coeffs is None:
-            g = self.grid
-            self._coeffs = g.phase * np.fft.fftn(self._samples) / g.n**g.dimension
-        return self._coeffs
+        return cls(
+            grid, samples=np.zeros(grid.shape), coeffs=np.zeros(grid.shape, complex)
+        )
 
     def coefficient_at(self, k) -> complex:
         """Single Fourier coefficient u_hat(k) for an integer wavenumber tuple."""
         return complex(self.coefficients[self.grid.mode_index(k)])
 
-    def __add__(self, other):
-        self._check(other)
-        return SpectralScalarField.from_coefficients(
-            self.grid, self.coefficients + other.coefficients
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return SpectralScalarField.from_coefficients(
-            self.grid, self.coefficients - other.coefficients
-        )
-
-    def __mul__(self, scalar):
-        return SpectralScalarField.from_coefficients(
-            self.grid, self.coefficients * float(scalar)
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def _check(self, other):
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
+    def _with_coefficients(self, coeffs):
+        return SpectralScalarField(self.grid, coeffs=coeffs)
 
 
-class SpectralVectorField:
-    """d-component vector field; all components share one grid."""
+class _Component(SpectralScalarField):
+    """Component i of a vector field, read from the field's stacks.
 
-    __slots__ = ("grid", "components")
+    Asking a component for a missing representation converts the whole
+    stack once, so every component shares that one transform.
+    """
+
+    __slots__ = ("_parent", "_index")
+
+    def __init__(self, parent: "SpectralVectorField", index: int):
+        self.grid = parent.grid
+        self._samples = self._coeffs = None
+        self._parent = parent
+        self._index = index
+
+    @property
+    def samples(self):
+        return self._parent.samples[self._index]
+
+    @property
+    def coefficients(self):
+        return self._parent.coefficients[self._index]
+
+
+class GradientSummary(NamedTuple):
+    """What the stepper and the diagnostics read from grad u.
+
+    sup: max over the grid of the Frobenius norm of grad u.
+    advection: samples of (u . grad) u, shape (d, *grid.shape), not dealiased.
+    """
+
+    sup: float
+    advection: np.ndarray
+
+
+class SpectralVectorField(_Field):
+    """d-component vector field stored as one (d, *grid.shape) stack.
+
+    Build from scalar components, from_samples, from_sample_stack or
+    from_coefficient_stack.  `samples` and `coefficients` are the stacks;
+    `components` are scalar views of them.
+    """
+
+    __slots__ = ("_summary",)
 
     def __init__(self, components):
         components = tuple(components)
@@ -198,35 +282,88 @@ class SpectralVectorField:
         if any(c.grid != grid for c in components):
             raise ValueError("components live on different grids")
         self.grid = grid
-        self.components = components
+        self._samples = self._coeffs = self._summary = None
+        if all(c._samples is not None for c in components):
+            self._samples = np.stack([c._samples for c in components])
+        else:
+            self._coeffs = np.stack([c.coefficients for c in components])
+
+    @classmethod
+    def _of(cls, grid: Grid, samples=None, coeffs=None) -> "SpectralVectorField":
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._samples = samples
+        field._coeffs = coeffs
+        field._summary = None
+        return field
 
     @classmethod
     def from_samples(cls, grid: Grid, *component_samples) -> "SpectralVectorField":
-        return cls([SpectralScalarField.from_samples(grid, s) for s in component_samples])
+        return cls.from_sample_stack(grid, np.stack(component_samples))
+
+    @classmethod
+    def from_sample_stack(cls, grid: Grid, samples) -> "SpectralVectorField":
+        """Field whose samples are the (d, *grid.shape) stack `samples`."""
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.shape != (grid.dimension,) + grid.shape:
+            raise ValueError(
+                f"samples shape {samples.shape} != {(grid.dimension,) + grid.shape}"
+            )
+        return cls._of(grid, samples=samples)
+
+    @classmethod
+    def from_coefficient_stack(cls, grid: Grid, coeffs) -> "SpectralVectorField":
+        """Field whose coefficients are the (d, *grid.shape) stack `coeffs`."""
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != (grid.dimension,) + grid.shape:
+            raise ValueError(
+                f"coeffs shape {coeffs.shape} != {(grid.dimension,) + grid.shape}"
+            )
+        return cls._of(grid, coeffs=coeffs)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralVectorField":
-        return cls([SpectralScalarField.zero(grid) for _ in range(grid.dimension)])
+        shape = (grid.dimension,) + grid.shape
+        return cls._of(grid, np.zeros(shape), np.zeros(shape, complex))
 
-    def __add__(self, other):
-        return SpectralVectorField([a + b for a, b in zip(self.components, other.components)])
+    @property
+    def components(self) -> tuple:
+        # built on each access: a cached tuple would make a reference cycle
+        # (field -> views -> field) that only the cycle collector frees
+        return tuple(_Component(self, i) for i in range(self.grid.dimension))
 
-    def __sub__(self, other):
-        return SpectralVectorField([a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, scalar):
-        return SpectralVectorField([c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+    def _with_coefficients(self, coeffs):
+        return SpectralVectorField._of(self.grid, coeffs=coeffs)
 
 
-def _component_fields(field):
-    if isinstance(field, SpectralVectorField):
-        return field.components
-    return (field,)
+def gradient_summary(u: SpectralVectorField) -> GradientSummary:
+    """|grad u|_inf and (u . grad) u from one batched transform, cached on u.
+
+    The d x d derivative coefficients and u itself go through a single
+    inverse transform.  The samples of u obtained on the way become u's own
+    if it has none yet: a batched transform gives each slice exactly the
+    values a transform of that slice alone would.  Neither grad u nor its
+    samples outlive the call.
+    """
+    if u._summary is not None:
+        return u._summary
+    g = u.grid
+    d = g.dimension
+    c = u.coefficients
+    stack = np.empty((d + 1, d) + g.shape, dtype=np.complex128)
+    for j, dk in enumerate(g.deriv):
+        np.multiply(c, dk, out=stack[j])  # stack[j, i] = d_j u_i
+    stack[d] = c
+    stack *= g.phase
+    values = scipy.fft.ifftn(stack, axes=g.axes, norm="forward", overwrite_x=True)
+    real = values.real
+    if u._samples is None:
+        u._samples = real[d].copy()
+    grad = real[:d]
+    sup = float(np.sqrt(np.max(np.einsum("ji...,ji...->...", grad, grad))))
+    advection = np.einsum("j...,ji...->i...", u.samples, grad)
+    u._summary = GradientSummary(sup, advection)
+    return u._summary
 
 
 def sobolev_norm(field, s: int) -> float:
@@ -237,13 +374,8 @@ def sobolev_norm(field, s: int) -> float:
     """
     if not 0 <= s <= SOBOLEV_INDEX_CAP:
         raise ValueError(f"Sobolev index {s} outside [0, {SOBOLEV_INDEX_CAP}]")
-    comps = _component_fields(field)
-    grid = comps[0].grid
-    weight = (1.0 + grid.k2) ** s
-    total = 0.0
-    for c in comps:
-        total += np.sum(weight * np.abs(c.coefficients) ** 2)
-    return float(np.sqrt(total))
+    weight = (1.0 + field.grid.k2) ** s
+    return float(np.sqrt((weight * _abs2(field.coefficients)).sum()))
 
 
 def lp_norm(field, p) -> float:
@@ -252,35 +384,36 @@ def lp_norm(field, p) -> float:
     p = inf returns the sample maximum of |u|; vector fields use the pointwise
     Euclidean magnitude.
     """
-    comps = _component_fields(field)
-    grid = comps[0].grid
-    if len(comps) == 1:
-        mag = np.abs(comps[0].samples)
+    samples = field.samples
+    if isinstance(field, SpectralVectorField):
+        mag = np.sqrt(np.einsum("i...,i...->...", samples, samples))
     else:
-        mag = np.sqrt(reduce(np.add, (c.samples**2 for c in comps)))
+        mag = np.abs(samples)
     if p == np.inf or p == "inf":
         return float(np.max(mag))
     p = float(p)
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(mag**p) * field.grid.cell_volume) ** (1.0 / p))
 
 
 def gradient(field: SpectralScalarField) -> SpectralVectorField:
     """Spectral gradient; Nyquist modes of each derivative are zeroed."""
     g = field.grid
     c = field.coefficients
-    return SpectralVectorField(
-        [SpectralScalarField.from_coefficients(g, d * c) for d in g.deriv]
-    )
+    out = np.empty((g.dimension,) + g.shape, dtype=np.complex128)
+    for ax, dk in enumerate(g.deriv):
+        np.multiply(dk, c, out=out[ax])
+    return SpectralVectorField._of(g, coeffs=out)
 
 
 def divergence(v: SpectralVectorField) -> SpectralScalarField:
     g = v.grid
-    acc = g.deriv[0] * v.components[0].coefficients
+    c = v.coefficients
+    acc = g.deriv[0] * c[0]
     for ax in range(1, g.dimension):
-        acc = acc + g.deriv[ax] * v.components[ax].coefficients
-    return SpectralScalarField.from_coefficients(g, acc)
+        acc += g.deriv[ax] * c[ax]
+    return SpectralScalarField(g, coeffs=acc)
 
 
 def laplacian(field: SpectralScalarField) -> SpectralScalarField:
@@ -298,11 +431,8 @@ def perp_grad_2d(field: SpectralScalarField) -> SpectralVectorField:
     _require_2d(field.grid, "perp_grad_2d")
     g = field.grid
     c = field.coefficients
-    return SpectralVectorField(
-        [
-            SpectralScalarField.from_coefficients(g, -g.deriv[1] * c),
-            SpectralScalarField.from_coefficients(g, g.deriv[0] * c),
-        ]
+    return SpectralVectorField._of(
+        g, coeffs=np.stack([-g.deriv[1] * c, g.deriv[0] * c])
     )
 
 
@@ -310,8 +440,8 @@ def perp_div_2d(v: SpectralVectorField) -> SpectralScalarField:
     """Perpendicular divergence -d2 v1 + d1 v2; 2D only."""
     _require_2d(v.grid, "perp_div_2d")
     g = v.grid
-    c = -g.deriv[1] * v.components[0].coefficients + g.deriv[0] * v.components[1].coefficients
-    return SpectralScalarField.from_coefficients(g, c)
+    c = v.coefficients
+    return SpectralScalarField(g, coeffs=-g.deriv[1] * c[0] + g.deriv[0] * c[1])
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
@@ -323,20 +453,15 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     pure-Nyquist modes, which no discrete derivative can see) pass through.
     """
     g = v.grid
-    coeffs = [c.coefficients for c in v.components]
-    k2 = np.where(g.k2_masked == 0.0, 1.0, g.k2_masked)
-    dot = reduce(
-        np.add, (g.k_masked[ax] * coeffs[ax] for ax in range(g.dimension))
-    )
-    scale = dot / k2
-    out = []
+    c = v.coefficients
+    scale = g.k_masked[0] * c[0]
+    for ax in range(1, g.dimension):
+        scale += g.k_masked[ax] * c[ax]
+    scale /= g.k2_safe
+    out = c.copy()
     for ax in range(g.dimension):
-        out.append(
-            SpectralScalarField.from_coefficients(
-                g, coeffs[ax] - g.k_masked[ax] * scale
-            )
-        )
-    return SpectralVectorField(out)
+        out[ax] -= g.k_masked[ax] * scale
+    return SpectralVectorField._of(g, coeffs=out)
 
 
 def galerkin_project(field, cutoff_modes: int):
@@ -344,39 +469,23 @@ def galerkin_project(field, cutoff_modes: int):
 
     A cutoff at or above n/2 keeps every mode and is the identity.
     """
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField(
-            [galerkin_project(c, cutoff_modes) for c in field.components]
-        )
     g = field.grid
     if cutoff_modes >= g.n // 2:
         return field
     mask = reduce(
         np.logical_and, (np.abs(ka) <= cutoff_modes for ka in g.k_axes)
     )
-    return SpectralScalarField.from_coefficients(g, field.coefficients * mask)
+    return field._with_coefficients(field.coefficients * mask)
 
 
 def dealias(field):
     """Zero modes outside the 2/3 band (alias control for quadratic products)."""
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField([dealias(c) for c in field.components])
-    g = field.grid
-    return SpectralScalarField.from_coefficients(
-        g, field.coefficients * g.dealias_mask
-    )
+    return field._with_coefficients(field.coefficients * field.grid.dealias_mask)
 
 
 def stokes_apply(v: SpectralVectorField) -> SpectralVectorField:
     """Stokes operator: multiply mode k by |k|^2, then Leray-project."""
-    g = v.grid
-    scaled = SpectralVectorField(
-        [
-            SpectralScalarField.from_coefficients(g, g.k2 * c.coefficients)
-            for c in v.components
-        ]
-    )
-    return leray_project(scaled)
+    return leray_project(v._with_coefficients(v.grid.k2 * v.coefficients))
 
 
 def divergence_defect(v: SpectralVectorField) -> float:
@@ -386,15 +495,9 @@ def divergence_defect(v: SpectralVectorField) -> float:
     is cheap enough to check every step.
     """
     g = v.grid
-    div_c = reduce(
-        np.add, (g.deriv[ax] * v.components[ax].coefficients for ax in range(g.dimension))
-    )
-    l2_div = np.sqrt((2 * np.pi) ** g.dimension * np.sum(np.abs(div_c) ** 2))
-    h1 = np.sqrt(
-        sum(
-            np.sum((1.0 + g.k2) * np.abs(c.coefficients) ** 2) for c in v.components
-        )
-    )
+    div_c = divergence(v).coefficients
+    l2_div = np.sqrt((2 * np.pi) ** g.dimension * _abs2(div_c).sum())
+    h1 = np.sqrt(((1.0 + g.k2) * _abs2(v.coefficients)).sum())
     return float(l2_div / (1.0 + h1))
 
 
@@ -411,9 +514,4 @@ def implicit_diffusion_solve(
         rhs = leray_project(rhs)
     g = rhs.grid
     denom = 1.0 + dt * viscosity * g.k2
-    return SpectralVectorField(
-        [
-            SpectralScalarField.from_coefficients(g, c.coefficients / denom)
-            for c in rhs.components
-        ]
-    )
+    return SpectralVectorField._of(g, coeffs=rhs.coefficients / denom)

@@ -28,6 +28,7 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     gradient,
+    gradient_summary,
     lp_norm,
 )
 
@@ -75,11 +76,9 @@ def _departure_coords(u: SpectralVectorField, dt: float, order: int) -> np.ndarr
     base = np.stack(
         np.meshgrid(*([np.arange(grid.n, dtype=np.float64)] * grid.dimension), indexing="ij")
     )
-    vel = np.stack([c.samples for c in u.components]) / h  # index units per time
+    vel = u.samples / h  # index units per time
     half = base - (0.5 * dt) * vel
-    vel_half = np.stack(
-        [_interpolate(c.samples, half, order) for c in u.components]
-    ) / h
+    vel_half = np.stack([_interpolate(c, half, order) for c in u.samples]) / h
     return base - dt * vel_half
 
 
@@ -95,15 +94,12 @@ def _advect_semi_lagrangian(theta, u, dt, scheme) -> SpectralScalarField:
 
 def _advect_spectral_rk2(theta, u, dt, scheme) -> SpectralScalarField:
     grid = theta.grid
-    u_samples = [c.samples for c in u.components]
     mask = grid.dealias_mask if scheme.dealias else None
 
     def tendency(coeffs):
-        total = np.zeros(grid.shape)
-        for ax in range(grid.dimension):
-            d = SpectralScalarField.from_coefficients(grid, grid.deriv[ax] * coeffs)
-            total += u_samples[ax] * d.samples
-        out = SpectralScalarField.from_samples(grid, total).coefficients
+        grad = gradient(SpectralScalarField(grid, coeffs=coeffs)).samples
+        total = np.einsum("i...,i...->...", u.samples, grad)
+        out = SpectralScalarField(grid, samples=total).coefficients
         if mask is not None:
             out = out * mask
         return -out
@@ -126,7 +122,7 @@ def advect(
     """
     if theta.grid != u.grid:
         raise ValueError("theta and u live on different grids")
-    if dt == 0.0 or all(np.max(np.abs(c.samples)) == 0.0 for c in u.components):
+    if dt == 0.0 or not np.any(u.samples):
         return theta
     if scheme.kind == "semi_lagrangian":
         return _advect_semi_lagrangian(theta, u, dt, scheme)
@@ -139,12 +135,9 @@ def grad_sup(theta: SpectralScalarField) -> float:
 
 
 def velocity_grad_sup(u: SpectralVectorField) -> float:
-    """Max over the grid of the Frobenius norm of the velocity gradient."""
-    g = u.grid
-    scale = g.n**g.dimension
-    total = np.zeros(g.shape)
-    for c in u.components:
-        base = c.coefficients * g.phase
-        for d in g.deriv:
-            total += np.real(np.fft.ifftn(d * base)) ** 2
-    return float(np.sqrt(np.max(total))) * scale
+    """Max over the grid of the Frobenius norm of the velocity gradient.
+
+    Read from u's cached gradient_summary, so it costs no transform when the
+    stepper or the diagnostic row has already asked for it.
+    """
+    return gradient_summary(u).sup
