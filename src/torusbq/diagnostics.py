@@ -43,6 +43,7 @@ from .spectral import (
     gradient,
     lp_norm,
     perp_div_2d,
+    perp_grad_2d,
     sobolev_norm,
 )
 from .transport import advect
@@ -68,14 +69,7 @@ def biot_savart(w: SpectralScalarField) -> SpectralVectorField:
     if abs(mean) > 1e-12 * max(sobolev_norm(w, 0), 1e-300):
         raise ValueError(f"vorticity must be mean-free, measured mean {mean:.3e}")
     psi = np.where(g.k2_masked == 0.0, 0.0, -c / g.k2_safe)
-    u1 = -g.deriv[1] * psi
-    u2 = g.deriv[0] * psi
-    return SpectralVectorField(
-        [
-            SpectralScalarField.from_coefficients(g, u1),
-            SpectralScalarField.from_coefficients(g, u2),
-        ]
-    )
+    return perp_grad_2d(SpectralScalarField(g, coeffs=psi))
 
 
 # -- log-Gronwall quantities ---------------------------------------------------
@@ -99,19 +93,15 @@ def _curled_noise_aggregate(config: SolverConfig, state: State) -> float:
     """|grad curl f|_{W^{0,4}}: L^4 norm in x of the mode-wise l^2 aggregate
     of sqrt(lambda_k) grad(curl(f e_k))."""
     noise = config.noise
-    if noise is None or noise.intensity.mode == "off" or noise.spec.truncation == 0:
+    if noise is None:
         return 0.0
     grid = config.grid
     agg = np.zeros(grid.shape)
-    for i in range(noise.spec.truncation):
-        lam = noise.spec.eigenvalues[i]
-        if lam == 0.0:
-            continue
-        fe = noise.intensity.mode_field(i, state.u, state.theta)
-        grad_curl = gradient(curl_2d(fe))
-        agg += lam * (
-            grad_curl.components[0].samples ** 2 + grad_curl.components[1].samples ** 2
-        )
+    fields = noise.intensity.mode_fields(state.u, state.theta)
+    for lam, fe in zip(noise.spec.eigenvalues, fields):
+        if lam != 0.0:
+            grad_curl = gradient(curl_2d(fe)).samples
+            agg += lam * (grad_curl[0] ** 2 + grad_curl[1] ** 2)
     a = np.sqrt(agg)
     return float((np.sum(a**4) * grid.cell_volume) ** 0.25)
 
@@ -139,10 +129,10 @@ def gronwall_record(state: State, config: SolverConfig) -> GronwallRecord:
         sigma = (1.0 + noise_w44) ** 4
     z_bound = (1.0 + noise_w44) * Y**0.75
     hess_sq = np.zeros(config.grid.shape)
-    for comp in grad_w.components:
-        for second in gradient(comp).components:
-            hess_sq += second.samples**2
-    grad_w_mag_sq = grad_w.components[0].samples ** 2 + grad_w.components[1].samples ** 2
+    for c in grad_w.coefficients:
+        for second in gradient(SpectralScalarField(config.grid, coeffs=c)).samples:
+            hess_sq += second**2
+    grad_w_mag_sq = grad_w.samples[0] ** 2 + grad_w.samples[1] ** 2
     second_term = float(np.sum(hess_sq * grad_w_mag_sq) * config.grid.cell_volume)
     return GronwallRecord(
         t=state.t,
@@ -232,18 +222,10 @@ def energy_budget(record: TrajectoryRecord) -> np.ndarray:
 
 def _curled_mode_data(config, u, theta):
     """Per-mode curl fields and spatial means of the forcing at a state."""
-    noise = config.noise
-    curls = []
-    means = []
-    for i in range(noise.spec.truncation):
-        fe = noise.intensity.mode_field(i, u, theta)
-        curls.append(curl_2d(fe).coefficients)
-        means.append(
-            np.array(
-                [c.coefficient_at((0, 0)) for c in fe.components], dtype=complex
-            )
-        )
-    return curls, means
+    mean = (slice(None),) + config.grid.mode_index((0, 0))
+    fields = config.noise.intensity.mode_fields(u, theta)
+    curls = [curl_2d(fe).coefficients for fe in fields]
+    return curls, [fe.coefficients[mean] for fe in fields]
 
 
 def vorticity_consistency(
@@ -278,9 +260,8 @@ def vorticity_consistency(
     state0 = states[0]
     w = curl_2d(state0.u)
     theta = state0.theta
-    mean_u = np.array(
-        [c.coefficient_at((0, 0)) for c in state0.u.components], dtype=complex
-    )
+    mean = (slice(None),) + grid.mode_index((0, 0))
+    mean_u = state0.u.coefficients[mean].copy()
     cn_minus = 1.0 - 0.5 * dt * nu * grid.k2
     cn_plus = 1.0 + 0.5 * dt * nu * grid.k2
 
@@ -289,19 +270,12 @@ def vorticity_consistency(
     vol_factor = 2 * np.pi  # sqrt((2 pi)^2), L^2 norm from coefficients
 
     for j in range(len(states) - 1):
-        u_rec = biot_savart(w)
-        coeffs = [c.coefficients.copy() for c in u_rec.components]
-        for ax in range(2):
-            coeffs[ax][grid.mode_index((0, 0))] = mean_u[ax]
-        u_full = SpectralVectorField(
-            [SpectralScalarField.from_coefficients(grid, c) for c in coeffs]
-        )
+        coeffs = biot_savart(w).coefficients.copy()
+        coeffs[mean] = mean_u
+        u_full = SpectralVectorField(grid, coeffs=coeffs)
 
-        grad_w = gradient(w)
-        adv = (
-            u_full.components[0].samples * grad_w.components[0].samples
-            + u_full.components[1].samples * grad_w.components[1].samples
-        )
+        grad_w = gradient(w).samples
+        adv = u_full.samples[0] * grad_w[0] + u_full.samples[1] * grad_w[1]
         adv_hat = dealias(
             SpectralScalarField.from_samples(grid, adv)
         ).coefficients

@@ -13,13 +13,12 @@ step index), so ensembles are reproducible in any evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .spectral import (
     Grid,
-    SpectralScalarField,
     SpectralVectorField,
     leray_project,
     sobolev_norm,
@@ -188,38 +187,35 @@ def default_mode_fields(grid: Grid, spec: QWienerSpec, amplitude: float = 1.0):
 class NoiseIntensity:
     """Maps Wiener basis modes to velocity-space forcing fields.
 
-    mode "off" forces nothing; "additive" returns the fixed base fields;
-    "multiplicative" applies the diagonal affine envelope
-    (a0 + a1 u_i + a2 theta) componentwise.  The linear-growth and Lipschitz
-    constants C1 = |a0|+|a1|+|a2| and C2 = |a1|+|a2| are exposed for
-    reporting.
+    "additive" returns the fixed base fields; "multiplicative" applies the
+    diagonal affine envelope (a0 + a1 u_i + a2 theta) componentwise.  The
+    base fields must be nonempty and share one grid, which becomes `grid`;
+    absent noise is `noise=None` in the solver configuration, not a mode.
+    The linear-growth and Lipschitz constants C1 = |a0|+|a1|+|a2| and
+    C2 = |a1|+|a2| are exposed for reporting.
     """
 
     mode: str
-    grid: Optional[Grid] = None
     base_fields: tuple = ()
     a0: float = 1.0
     a1: float = 0.0
     a2: float = 0.0
-    _stack: np.ndarray = field(init=False, repr=False, default=None)
+    grid: Grid = field(init=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("off", "additive", "multiplicative"):
+        if self.mode not in ("additive", "multiplicative"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        self.base_fields = tuple(self.base_fields)
-        if self.mode != "off":
-            if not self.base_fields:
-                raise ValueError(f"{self.mode} noise needs base fields")
-            grid = self.base_fields[0].grid
-            if self.grid is None:
-                self.grid = grid
-            if any(f.grid != grid for f in self.base_fields):
-                raise ValueError("base fields live on different grids")
-            # the base fields become views of the one stack the sums read
-            self._stack = np.stack([f.samples for f in self.base_fields])
-            self.base_fields = tuple(
-                SpectralVectorField.from_sample_stack(grid, s) for s in self._stack
-            )
+        if not self.base_fields:
+            raise ValueError(f"{self.mode} noise needs base fields")
+        self.grid = self.base_fields[0].grid
+        if any(f.grid != self.grid for f in self.base_fields):
+            raise ValueError("base fields live on different grids")
+        # the base fields become views of the one stack the sums read
+        self._stack = np.stack([f.samples for f in self.base_fields])
+        self.base_fields = tuple(
+            SpectralVectorField(self.grid, samples=s) for s in self._stack
+        )
 
     @property
     def n_fields(self) -> int:
@@ -235,19 +231,20 @@ class NoiseIntensity:
 
     def mode_samples(self, u, theta) -> np.ndarray:
         """Stacked (n_modes, d, grid) samples of f(u, theta) e_k."""
-        if self.mode == "off":
-            raise ValueError("noise is off")
         if self.mode == "additive":
             return self._stack
         envelope = self.a0 + self.a1 * u.samples + self.a2 * theta.samples
         return self._stack * envelope
 
-    def mode_field(self, index: int, u=None, theta=None):
-        """Single f(u, theta) e_k as a vector field (before projection)."""
-        if self.mode == "additive" or self.mode == "off":
-            return self.base_fields[index]
-        samples = self.mode_samples(u, theta)[index]
-        return SpectralVectorField.from_sample_stack(self.grid, samples)
+    def mode_fields(self, u=None, theta=None) -> tuple:
+        """Every f(u, theta) e_k as a vector field (before projection),
+        from one evaluation of the envelope."""
+        if self.mode == "additive":
+            return self.base_fields
+        return tuple(
+            SpectralVectorField(self.grid, samples=s)
+            for s in self.mode_samples(u, theta)
+        )
 
 
 def additive_intensity(fields: Sequence[SpectralVectorField]):
@@ -263,7 +260,7 @@ def multiplicative_intensity(
 
 
 def _check_counts(f: NoiseIntensity, spec: QWienerSpec):
-    if f.mode != "off" and f.n_fields != spec.truncation:
+    if f.n_fields != spec.truncation:
         raise ValueError(
             f"intensity carries {f.n_fields} fields but spec retains "
             f"{spec.truncation} modes"
@@ -279,16 +276,13 @@ def weighted_sum(
     and the control drift (weights = control coordinates in H0).
     """
     _check_counts(f, spec)
-    grid = f.grid if f.mode != "off" else u.grid
     weights = np.asarray(weights, dtype=np.float64)
-    if f.mode == "off" or weights.size == 0:
-        return SpectralVectorField.zero(grid)
     if weights.shape != (spec.truncation,):
         raise ValueError("one weight per retained mode required")
     stack = f.mode_samples(u, theta)
     w = np.sqrt(spec.eigenvalues) * weights
     summed = np.einsum("m,md...->d...", w, stack)
-    return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
+    return leray_project(SpectralVectorField.from_sample_stack(f.grid, summed))
 
 
 def apply_noise(
@@ -301,15 +295,10 @@ def apply_noise(
 def hs_norm(f: NoiseIntensity, spec: QWienerSpec, u, theta, s: int) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2)."""
     _check_counts(f, spec)
-    if f.mode == "off" or spec.truncation == 0:
-        return 0.0
     total = 0.0
-    for i in range(spec.truncation):
-        lam = spec.eigenvalues[i]
-        if lam == 0.0:
-            continue
-        projected = leray_project(f.mode_field(i, u, theta))
-        total += lam * sobolev_norm(projected, s) ** 2
+    for lam, fe in zip(spec.eigenvalues, f.mode_fields(u, theta)):
+        if lam != 0.0:
+            total += lam * sobolev_norm(leray_project(fe), s) ** 2
     return float(np.sqrt(total))
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -258,6 +259,20 @@ def read_control_csv(path, n_modes: int) -> Control:
     return Control(grid_times, samples)
 
 
+#: The word each SolverConfig error message names, and the INI key that sets
+#: it; first match wins, so "control" precedes the t_end its message cites.
+_SOLVER_KEYS = (
+    ("control", "[control].file"),
+    ("dt", "[time].dt"),
+    ("t_end", "[time].t_end"),
+    ("sobolev index", "[physics].sobolev_index"),
+    ("epsilon", "[noise].epsilon"),
+    ("cutoff_R", "[physics].cutoff_R"),
+    ("viscosity", "[physics].viscosity"),
+    ("galerkin_modes", "[physics].galerkin_modes"),
+)
+
+
 def parse_config(path) -> tuple:
     """Validated (SolverConfig, HarnessSettings) from an INI file.
 
@@ -313,22 +328,12 @@ def parse_config(path) -> tuple:
         cfl_cap=values[("physics", "cfl_cap")],
         init=init,
     )
-    section_of = {
-        "dt": "time",
-        "t_end": "time",
-        "epsilon": "noise",
-        "cutoff_R": "physics",
-        "viscosity": "physics",
-        "galerkin_modes": "physics",
-        "s": "physics",
-    }
     try:
         config = SolverConfig(**kwargs)
     except ValueError as exc:
         msg = str(exc)
-        hint = next((k for k in section_of if k in msg), None)
-        where = f"[{section_of[hint]}].{hint}: " if hint else ""
-        raise ConfigError(f"{where}{msg}") from None
+        key = next((k for w, k in _SOLVER_KEYS if re.search(rf"\b{w}\b", msg)), None)
+        raise ConfigError(f"{key}: {msg}" if key else msg) from None
 
     raw_eps = values[("ldp", "eps_list")]
     try:
@@ -370,7 +375,7 @@ def write_snapshot(state: State, path):
     doubles (velocity components first, temperature last)."""
     grid = state.u.grid
     d = grid.dimension
-    fields = [c.samples for c in state.u.components] + [state.theta.samples]
+    fields = list(state.u.samples) + [state.theta.samples]
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", SNAPSHOT_VERSION))

@@ -31,7 +31,7 @@ from .solver import (
     run,
     run_ensemble,
 )
-from .spectral import SpectralVectorField, lp_norm
+from .spectral import lp_norm, parseval_inner
 
 
 # -- trajectory functionals ------------------------------------------------------
@@ -44,12 +44,11 @@ class _TerminalModeAmplitude:
         base = config.noise.intensity.base_fields[mode_index]
         self.base_coeffs = base.coefficients
         self.norm_sq = lp_norm(base, 2) ** 2
-        self.dim = base.grid.dimension
+        self.grid = base.grid
 
     def __call__(self, record: TrajectoryRecord) -> float:
-        b, c = self.base_coeffs, record.final_state.u.coefficients
-        inner = (b.real * c.real + b.imag * c.imag).sum()
-        return float((2 * np.pi) ** self.dim * inner / self.norm_sq)
+        c = record.final_state.u.coefficients
+        return parseval_inner(self.grid, self.base_coeffs, c) / self.norm_sq
 
 
 class _RowColumnFunctional:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralScalarField, SpectralVectorField
-
 
 @dataclass(frozen=True)
 class MollifierSpec:
@@ -33,7 +31,4 @@ class MollifierSpec:
 
 def mollify(field, spec: MollifierSpec):
     """Apply the smoothing multiplier; scalar and vector fields accepted."""
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField([mollify(c, spec) for c in field.components])
-    m = spec.multiplier(field.grid)
-    return SpectralScalarField.from_coefficients(field.grid, m * field.coefficients)
+    return field._with_coefficients(spec.multiplier(field.grid) * field.coefficients)

@@ -52,6 +52,9 @@ from .spectral import (
     implicit_diffusion_solve,
     leray_project,
     lp_norm,
+    parseval_grad_l2,
+    parseval_inner,
+    parseval_l2,
     perp_div_2d,
     sobolev_norm,
 )
@@ -122,9 +125,7 @@ class NoiseModel:
     intensity: NoiseIntensity
 
     def __post_init__(self):
-        if self.intensity.mode != "off" and (
-            self.intensity.n_fields != self.spec.truncation
-        ):
+        if self.intensity.n_fields != self.spec.truncation:
             raise ValueError("noise intensity/spec mode counts differ")
 
 
@@ -191,7 +192,7 @@ class SolverConfig:
             raise ValueError(
                 f"galerkin_modes must lie in [1, {g.n // 2}], got {self.galerkin_modes}"
             )
-        if self.epsilon > 0 and (self.noise is None or self.noise.intensity.mode == "off"):
+        if self.epsilon > 0 and self.noise is None:
             raise ValueError("epsilon > 0 requires an active noise model")
         if self.control is not None:
             if self.noise is None:
@@ -381,29 +382,12 @@ class TrajectoryRecord:
         return self.column("t")
 
 
-def _l2_from_coeffs(field) -> float:
-    c = field.coefficients
-    total = (c.real**2 + c.imag**2).sum()
-    return float(np.sqrt((2 * np.pi) ** field.grid.dimension * total))
-
-
-def _grad_l2_from_coeffs(v: SpectralVectorField) -> float:
-    c = v.coefficients
-    total = (v.grid.k2_masked * (c.real**2 + c.imag**2)).sum()
-    return float(np.sqrt((2 * np.pi) ** v.grid.dimension * total))
-
-
-def _l2_inner(a, b) -> float:
-    ca, cb = a.coefficients, b.coefficients
-    total = (ca.real * cb.real + ca.imag * cb.imag).sum()
-    return float((2 * np.pi) ** a.grid.dimension * total)
-
-
 def _diagnostic_row(state: State, config: SolverConfig, full: bool) -> StepRow:
     u, theta = state.u, state.theta
     row = StepRow(t=state.t)
-    row.l2_u = _l2_from_coeffs(u)
-    row.l2_theta = _l2_from_coeffs(theta)
+    g = u.grid
+    row.l2_u = parseval_l2(g, u.coefficients)
+    row.l2_theta = parseval_l2(g, theta.coefficients)
     if config.control is not None:
         row.h_h0 = float(np.linalg.norm(config.control.value_at(state.t)))
     if not full:
@@ -419,12 +403,12 @@ def _diagnostic_row(state: State, config: SolverConfig, full: bool) -> StepRow:
     row.hs_theta = sobolev_norm(theta, s)
     row.linf_grad_theta = grad_sup(theta)
     row.linf_theta = lp_norm(theta, np.inf)
-    if config.grid.dimension == 2:
+    if g.dimension == 2:
         w = perp_div_2d(u)
-        row.l2_w = _l2_from_coeffs(w)
+        row.l2_w = parseval_l2(g, w.coefficients)
         row.l4_w = lp_norm(w, 4)
         grad_w = gradient(w)
-        row.l2_grad_w = _l2_from_coeffs(grad_w)
+        row.l2_grad_w = parseval_l2(g, grad_w.coefficients)
         row.l4_grad_w = lp_norm(grad_w, 4)
     return row
 
@@ -436,17 +420,14 @@ def _energy_residual(prev: State, new: State, config: SolverConfig) -> float:
     P is self-adjoint and both velocities are solenoidal, so P u_mid = u_mid
     and the step's buoyancy term need not be projected again here.
     """
-    dt = config.dt
-    mid_grad_sq = 0.5 * (
-        _grad_l2_from_coeffs(prev.u) ** 2 + _grad_l2_from_coeffs(new.u) ** 2
-    )
-    theta = prev.theta
-    work = 0.5 * (
-        _l2_inner(theta, prev.u.components[-1]) + _l2_inner(theta, new.u.components[-1])
-    )
+    dt, g = config.dt, config.grid
+    c0, c1 = prev.u.coefficients, new.u.coefficients
+    mid_grad_sq = 0.5 * (parseval_grad_l2(g, c0) ** 2 + parseval_grad_l2(g, c1) ** 2)
+    theta = prev.theta.coefficients
+    work = 0.5 * (parseval_inner(g, theta, c0[-1]) + parseval_inner(g, theta, c1[-1]))
     return (
-        _l2_from_coeffs(new.u) ** 2
-        - _l2_from_coeffs(prev.u) ** 2
+        parseval_l2(g, c1) ** 2
+        - parseval_l2(g, c0) ** 2
         + 2.0 * dt * config.viscosity * mid_grad_sq
         - 2.0 * dt * work
     )

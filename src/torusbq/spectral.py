@@ -14,13 +14,16 @@ fields stay real.
 
 Storage.  A scalar field holds an (n,)*d samples array and an (n,)*d complex
 coefficients array; a vector field holds one (d, n, ..., n) stack of each, and
-its `components` are scalar views into those stacks.  Either representation
-is computed from the other on first access by one batched scipy.fft call over
-the spatial axes, whatever the number of components, and operators work on
-whole stacks.  Fields are immutable: operations return new fields, so a
-quantity derived from a field can be cached on it.  The velocity gradient is
-one: gradient_summary transforms grad u once per velocity field and keeps
+there are no per-component objects: component i is row i of a stack.  Either
+representation is computed from the other on first access by one batched
+scipy.fft call over the spatial axes, and operators work on whole stacks.
+Fields are immutable: operations return new fields, so a quantity derived
+from a field can be cached on it.  The velocity gradient is one:
+gradient_summary transforms grad u once per velocity field and keeps
 |grad u|_inf and the samples of (u . grad) u for every later consumer.
+
+Norms and inner products read from coefficients go through the Parseval
+helpers parseval_l2, parseval_grad_l2 and parseval_inner.
 """
 
 from __future__ import annotations
@@ -138,11 +141,20 @@ def _abs2(coeffs: np.ndarray) -> np.ndarray:
 class _Field:
     """Samples and coefficients arrays over the trailing d axes of a grid.
 
-    Either array is computed from the other on first access and cached.
-    Fields are immutable; arithmetic returns new fields of the same kind.
+    The bare constructor stores what it is given, unchecked, as cheaply as
+    possible: a step builds about 15 fields.  Either array is computed from
+    the other on first access and cached, as is a vector field's gradient
+    summary (`_summary`, unused by scalars).  Fields are immutable;
+    arithmetic returns new fields of the same kind.
     """
 
-    __slots__ = ("grid", "_samples", "_coeffs")
+    __slots__ = ("grid", "_samples", "_coeffs", "_summary")
+
+    def __init__(self, grid: Grid, samples=None, coeffs=None):
+        self.grid = grid
+        self._samples = samples
+        self._coeffs = coeffs
+        self._summary = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -157,7 +169,7 @@ class _Field:
         return self._coeffs
 
     def _with_coefficients(self, coeffs):
-        raise NotImplementedError
+        return type(self)(self.grid, coeffs=coeffs)
 
     def __add__(self, other):
         self._check(other)
@@ -190,13 +202,6 @@ class SpectralScalarField(_Field):
 
     __slots__ = ()
 
-    def __init__(self, grid: Grid, samples=None, coeffs=None):
-        if samples is None and coeffs is None:
-            raise ValueError("need at least one representation")
-        self.grid = grid
-        self._samples = samples
-        self._coeffs = coeffs
-
     @classmethod
     def from_samples(cls, grid: Grid, samples) -> "SpectralScalarField":
         samples = np.asarray(samples, dtype=np.float64)
@@ -221,33 +226,6 @@ class SpectralScalarField(_Field):
         """Single Fourier coefficient u_hat(k) for an integer wavenumber tuple."""
         return complex(self.coefficients[self.grid.mode_index(k)])
 
-    def _with_coefficients(self, coeffs):
-        return SpectralScalarField(self.grid, coeffs=coeffs)
-
-
-class _Component(SpectralScalarField):
-    """Component i of a vector field, read from the field's stacks.
-
-    Asking a component for a missing representation converts the whole
-    stack once, so every component shares that one transform.
-    """
-
-    __slots__ = ("_parent", "_index")
-
-    def __init__(self, parent: "SpectralVectorField", index: int):
-        self.grid = parent.grid
-        self._samples = self._coeffs = None
-        self._parent = parent
-        self._index = index
-
-    @property
-    def samples(self):
-        return self._parent.samples[self._index]
-
-    @property
-    def coefficients(self):
-        return self._parent.coefficients[self._index]
-
 
 class GradientSummary(NamedTuple):
     """What the stepper and the diagnostics read from grad u.
@@ -261,41 +239,14 @@ class GradientSummary(NamedTuple):
 
 
 class SpectralVectorField(_Field):
-    """d-component vector field stored as one (d, *grid.shape) stack.
+    """d-component vector field: `samples` and `coefficients` are (d, *grid.shape)
+    stacks, component i being row i of each.
 
-    Build from scalar components, from_samples, from_sample_stack or
-    from_coefficient_stack.  `samples` and `coefficients` are the stacks;
-    `components` are scalar views of them.
+    Build with from_samples (one array per component), from_sample_stack or
+    from_coefficient_stack; operators read and write whole stacks.
     """
 
-    __slots__ = ("_summary",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("empty component list")
-        grid = components[0].grid
-        if len(components) != grid.dimension:
-            raise ValueError(
-                f"expected {grid.dimension} components, got {len(components)}"
-            )
-        if any(c.grid != grid for c in components):
-            raise ValueError("components live on different grids")
-        self.grid = grid
-        self._samples = self._coeffs = self._summary = None
-        if all(c._samples is not None for c in components):
-            self._samples = np.stack([c._samples for c in components])
-        else:
-            self._coeffs = np.stack([c.coefficients for c in components])
-
-    @classmethod
-    def _of(cls, grid: Grid, samples=None, coeffs=None) -> "SpectralVectorField":
-        field = cls.__new__(cls)
-        field.grid = grid
-        field._samples = samples
-        field._coeffs = coeffs
-        field._summary = None
-        return field
+    __slots__ = ()
 
     @classmethod
     def from_samples(cls, grid: Grid, *component_samples) -> "SpectralVectorField":
@@ -309,7 +260,7 @@ class SpectralVectorField(_Field):
             raise ValueError(
                 f"samples shape {samples.shape} != {(grid.dimension,) + grid.shape}"
             )
-        return cls._of(grid, samples=samples)
+        return cls(grid, samples=samples)
 
     @classmethod
     def from_coefficient_stack(cls, grid: Grid, coeffs) -> "SpectralVectorField":
@@ -319,21 +270,12 @@ class SpectralVectorField(_Field):
             raise ValueError(
                 f"coeffs shape {coeffs.shape} != {(grid.dimension,) + grid.shape}"
             )
-        return cls._of(grid, coeffs=coeffs)
+        return cls(grid, coeffs=coeffs)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralVectorField":
         shape = (grid.dimension,) + grid.shape
-        return cls._of(grid, np.zeros(shape), np.zeros(shape, complex))
-
-    @property
-    def components(self) -> tuple:
-        # built on each access: a cached tuple would make a reference cycle
-        # (field -> views -> field) that only the cycle collector frees
-        return tuple(_Component(self, i) for i in range(self.grid.dimension))
-
-    def _with_coefficients(self, coeffs):
-        return SpectralVectorField._of(self.grid, coeffs=coeffs)
+        return cls(grid, np.zeros(shape), np.zeros(shape, complex))
 
 
 def gradient_summary(u: SpectralVectorField) -> GradientSummary:
@@ -364,6 +306,23 @@ def gradient_summary(u: SpectralVectorField) -> GradientSummary:
     advection = np.einsum("j...,ji...->i...", u.samples, grad)
     u._summary = GradientSummary(sup, advection)
     return u._summary
+
+
+def parseval_l2(grid: Grid, coeffs: np.ndarray) -> float:
+    """L^2 norm from coefficients (of one field or a stack): Parseval."""
+    return float(np.sqrt((2 * np.pi) ** grid.dimension * _abs2(coeffs).sum()))
+
+
+def parseval_grad_l2(grid: Grid, coeffs: np.ndarray) -> float:
+    """L^2 norm of the gradient from coefficients, Nyquist modes excluded."""
+    total = (grid.k2_masked * _abs2(coeffs)).sum()
+    return float(np.sqrt((2 * np.pi) ** grid.dimension * total))
+
+
+def parseval_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """L^2 inner product of two real fields from their coefficients."""
+    total = (a.real * b.real + a.imag * b.imag).sum()
+    return float((2 * np.pi) ** grid.dimension * total)
 
 
 def sobolev_norm(field, s: int) -> float:
@@ -404,7 +363,7 @@ def gradient(field: SpectralScalarField) -> SpectralVectorField:
     out = np.empty((g.dimension,) + g.shape, dtype=np.complex128)
     for ax, dk in enumerate(g.deriv):
         np.multiply(dk, c, out=out[ax])
-    return SpectralVectorField._of(g, coeffs=out)
+    return SpectralVectorField(g, coeffs=out)
 
 
 def divergence(v: SpectralVectorField) -> SpectralScalarField:
@@ -431,7 +390,7 @@ def perp_grad_2d(field: SpectralScalarField) -> SpectralVectorField:
     _require_2d(field.grid, "perp_grad_2d")
     g = field.grid
     c = field.coefficients
-    return SpectralVectorField._of(
+    return SpectralVectorField(
         g, coeffs=np.stack([-g.deriv[1] * c, g.deriv[0] * c])
     )
 
@@ -461,7 +420,7 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     out = c.copy()
     for ax in range(g.dimension):
         out[ax] -= g.k_masked[ax] * scale
-    return SpectralVectorField._of(g, coeffs=out)
+    return SpectralVectorField(g, coeffs=out)
 
 
 def galerkin_project(field, cutoff_modes: int):
@@ -495,8 +454,7 @@ def divergence_defect(v: SpectralVectorField) -> float:
     is cheap enough to check every step.
     """
     g = v.grid
-    div_c = divergence(v).coefficients
-    l2_div = np.sqrt((2 * np.pi) ** g.dimension * _abs2(div_c).sum())
+    l2_div = parseval_l2(g, divergence(v).coefficients)
     h1 = np.sqrt(((1.0 + g.k2) * _abs2(v.coefficients)).sum())
     return float(l2_div / (1.0 + h1))
 
@@ -514,4 +472,4 @@ def implicit_diffusion_solve(
         rhs = leray_project(rhs)
     g = rhs.grid
     denom = 1.0 + dt * viscosity * g.k2
-    return SpectralVectorField._of(g, coeffs=rhs.coefficients / denom)
+    return SpectralVectorField(g, coeffs=rhs.coefficients / denom)

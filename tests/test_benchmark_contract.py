@@ -1,28 +1,33 @@
-"""The names the benchmark's tracer wraps still exist in the library.
+"""What the benchmark calls of the library still exists and still runs.
 
 perfbench/tracer.py wraps the functions listed in its LAYERS table and fails
-the traced benchmark when one is gone.  Checking the table here makes a
-rename fail the test suite first.  The tracer is loaded from its file and
-only read; nothing is wrapped.
+the traced benchmark when one is gone; perfbench/workloads.py builds its
+inputs through the library's public constructors.  Checking both here makes a
+rename or a constructor change fail the test suite first.  The perfbench
+files are loaded from their paths and only read; nothing is wrapped.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+def load(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-LAYERS = load_layers()
+LAYERS = load("tracer").LAYERS
 
 
 @pytest.mark.parametrize(
@@ -34,3 +39,21 @@ def test_layer_name_resolves(module_name, qualname):
     owner_name, _, attr = qualname.rpartition(".")
     owner = getattr(module, owner_name) if owner_name else module
     assert callable(vars(owner).get(attr)), f"{module_name}.{qualname} is gone"
+
+
+def test_ou_toy_skeleton_solve():
+    """The OU toy of the ldp-ou and mc-ou workloads builds and solves.
+
+    A constant control h = 1 drives the cos(x_2) e_1 mode by the
+    backward-Euler recursion x <- (x + dt h) / (1 + dt).
+    """
+    from torusbq import ldp
+    from torusbq.solver import Control
+
+    workloads = load("workloads")
+    config = workloads.ou_toy_config()
+    record = ldp.solve_skeleton(config, Control(np.array([0.0]), np.array([[1.0]])))
+    amplitude = ldp.FUNCTIONALS["terminal_mode_amplitude"][0](config)(record)
+    rho = 1.0 / (1.0 + workloads.OU_DT)
+    want = workloads.OU_DT * sum(rho**j for j in range(1, config.n_steps + 1))
+    assert amplitude == pytest.approx(want, rel=1e-10)

@@ -119,23 +119,14 @@ class TestIncrements:
 
 
 class TestApplyNoise:
-    def test_off_mode_zero(self, grid):
-        from torusbq.forcing import NoiseIntensity
-
-        f = NoiseIntensity("off")
-        u, theta = zero_state(grid)
-        spec = QWienerSpec((), np.array([]))
-        out = apply_noise(f, spec, u, theta, NoiseIncrement(np.array([]), 0.1))
-        assert lp_norm(out, 2) == 0.0
-
     def test_additive_single_mode(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
         spec = single_mode_spec()
         u, theta = zero_state(grid)
         out = apply_noise(f, spec, u, theta, NoiseIncrement(np.array([0.3]), 0.1))
         expect = 0.3 * np.cos(grid.x_mesh[1])
-        assert np.max(np.abs(out.components[0].samples - expect)) < 1e-14
-        assert np.max(np.abs(out.components[1].samples)) < 1e-14
+        assert np.max(np.abs(out.samples[0] - expect)) < 1e-14
+        assert np.max(np.abs(out.samples[1])) < 1e-14
 
     def test_degenerate_multiplicative_matches_additive(self, grid):
         base = [cos_x2_field(grid)]
@@ -150,8 +141,7 @@ class TestApplyNoise:
         inc = NoiseIncrement(np.array([0.7]), 0.1)
         a = apply_noise(fa, spec, u, theta, inc)
         b = apply_noise(fm, spec, u, theta, inc)
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.samples, cb.samples)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_mode_count_mismatch(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
@@ -198,6 +188,36 @@ class TestHsNorm:
         spec2 = QWienerSpec(spec.modes, 2 * spec.eigenvalues)
         b = hs_norm(f, spec2, u, theta, 1)
         assert abs(b - np.sqrt(2) * a) < 1e-12 * a
+
+    def test_multiplicative_envelope_evaluated_once(self, grid, monkeypatch):
+        from torusbq.forcing import NoiseIntensity
+        from torusbq.spectral import leray_project
+
+        spec = default_qwiener(2, 6)
+        f = multiplicative_intensity(
+            default_mode_fields(grid, spec), a0=0.5, a1=0.7, a2=0.3
+        )
+        rng = np.random.default_rng(12)
+        u = SpectralVectorField.from_samples(
+            grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        )
+        theta = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
+        # the per-mode sum, each mode's field built on its own
+        envelope = 0.5 + 0.7 * u.samples + 0.3 * theta.samples
+        want = 0.0
+        for lam, base in zip(spec.eigenvalues, f.base_fields):
+            fe = SpectralVectorField.from_sample_stack(grid, base.samples * envelope)
+            want += lam * sobolev_norm(leray_project(fe), 2) ** 2
+        calls = []
+        original = NoiseIntensity.mode_samples
+
+        def counted(self, u, theta):
+            calls.append(1)
+            return original(self, u, theta)
+
+        monkeypatch.setattr(NoiseIntensity, "mode_samples", counted)
+        assert hs_norm(f, spec, u, theta, 2) == float(np.sqrt(want))
+        assert len(calls) == 1
 
 
 class TestItoIsometry:
@@ -266,8 +286,9 @@ class TestConditions:
             t1 = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
             t2 = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
             lhs_sq = 0.0
-            for i in range(spec.truncation):
-                d = f.mode_field(i, u1, t1) - f.mode_field(i, u2, t2)
+            pairs = zip(f.mode_fields(u1, t1), f.mode_fields(u2, t2))
+            for i, (a, b) in enumerate(pairs):
+                d = a - b
                 from torusbq.spectral import leray_project
 
                 lhs_sq += spec.eigenvalues[i] * sobolev_norm(leray_project(d), 0) ** 2

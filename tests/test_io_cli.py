@@ -58,6 +58,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[physics\].cutoff_R"):
             parse_config(write_config(tmp_path, text))
 
+    def test_sobolev_index_names_key(self, tmp_path):
+        text = MINIMAL + "\n[physics]\nsobolev_index = 9\n"
+        with pytest.raises(ConfigError, match=r"^\[physics\]\.sobolev_index: "):
+            parse_config(write_config(tmp_path, text))
+
+    def test_late_control_grid_names_key(self, tmp_path):
+        control = tmp_path / "control.csv"
+        control.write_text("t,mode,value\n0.05,0,1.0\n")
+        text = MINIMAL + (
+            "\n[noise]\nmode = additive\nn_modes = 1\n"
+            f"\n[control]\nfile = {control}\n"
+        )
+        with pytest.raises(ConfigError, match=r"^\[control\]\.file: control time grid"):
+            parse_config(write_config(tmp_path, text))
+
     def test_epsilon_zero_with_noise_section(self, tmp_path):
         text = MINIMAL + "\n[noise]\nmode = additive\nn_modes = 3\nepsilon = 0\n"
         config, _ = parse_config(write_config(tmp_path, text))
@@ -118,8 +133,7 @@ class TestSnapshots:
         write_snapshot(state, path)
         back = read_snapshot(path)
         assert back.t == state.t
-        for a, b in zip(back.u.components, state.u.components):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(back.u.samples, state.u.samples)
         assert np.array_equal(back.theta.samples, state.theta.samples)
 
     def test_magic_bytes(self, tmp_path):

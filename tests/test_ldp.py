@@ -101,7 +101,7 @@ class TestSkeleton:
         )
         rec = solve_skeleton(cfg, None)
         assert abs(
-            rec.final_state.u.components[1].coefficient_at((0, 0)) - cfg.t_end
+            rec.final_state.u.coefficients[1][cfg.grid.mode_index((0, 0))] - cfg.t_end
         ) < 1e-10
 
     def test_linear_mode_closed_form(self):
@@ -138,10 +138,10 @@ def test_girsanov_linearity():
     )
     skeleton = solve_skeleton(cfg_ctrl, h)
     for i in range(2):
-        lhs = noisy_ctrl.final_state.u.components[i].coefficients
+        lhs = noisy_ctrl.final_state.u.coefficients[i]
         rhs = (
-            noisy_plain.final_state.u.components[i].coefficients
-            + skeleton.final_state.u.components[i].coefficients
+            noisy_plain.final_state.u.coefficients[i]
+            + skeleton.final_state.u.coefficients[i]
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 

@@ -22,6 +22,8 @@ from torusbq.spectral import (
     implicit_diffusion_solve,
     leray_project,
 )
+from torusbq.diagnostics import biot_savart
+from torusbq.mollifier import MollifierSpec, mollify
 from torusbq.transport import velocity_grad_sup
 
 RTOL = 1e-12
@@ -88,7 +90,7 @@ def random_field(grid, seed, kmax=None):
 
 
 def per_component(v):
-    return [np.array(c.coefficients) for c in v.components]
+    return [np.array(c) for c in v.coefficients]
 
 
 GRIDS = [Grid(2, 32), Grid(3, 16)]
@@ -136,6 +138,28 @@ def test_gradient(grid):
     assert close(got.coefficients, [dk * f.coefficients for dk in grid.deriv])
     want = [ref_samples(grid, dk * f.coefficients) for dk in grid.deriv]
     assert close(got.samples, want)
+
+
+def test_mollify(grid):
+    v = random_field(grid, 8)
+    m = np.exp(-(0.3**2) * grid.k2)
+    want = [m * ref_coefficients(grid, s) for s in v.samples]
+    got = mollify(v, MollifierSpec(0.3))
+    assert close(got.coefficients, want)
+    assert close(got.samples, [ref_samples(grid, c) for c in want])
+
+
+def test_biot_savart():
+    grid = GRIDS[0]
+    samples = np.random.default_rng(9).standard_normal(grid.shape)
+    w = SpectralScalarField.from_samples(grid, samples - samples.mean())
+    c = ref_coefficients(grid, w.samples)
+    k2 = np.where(grid.k2_masked == 0.0, 1.0, grid.k2_masked)
+    psi = np.where(grid.k2_masked == 0.0, 0.0, -c / k2)
+    want = [-grid.deriv[1] * psi, grid.deriv[0] * psi]
+    got = biot_savart(w)
+    assert close(got.coefficients, want)
+    assert close(got.samples, [ref_samples(grid, c) for c in want])
 
 
 def test_velocity_grad_sup(grid):
