@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagnostics import biot_savart, curl_2d
-from .forcing import RandomStream, sample_increment
+from .forcing import RandomStream, apply_noise, sample_increment
 from .mollifier import MollifierSpec, mollify
 from .solver import (
     InitialCondition,
@@ -207,15 +207,12 @@ def run_invariant_battery(config: SolverConfig) -> list:
     record("advect_max_principle_linear", worst, sup0, detail="sup never grows")
 
     if config.noise is not None:
-        inc = sample_increment(config.noise.spec, 0.1, RandomStream(9), 0)
-        from .forcing import apply_noise
-
         forced = apply_noise(
             config.noise.intensity,
             config.noise.spec,
             _random_vector(grid, 707, kmax=grid.n // 4),
             theta,
-            inc,
+            sample_increment(config.noise.spec, 0.1, RandomStream(9), 0),
         )
         record(
             "noise_divergence_free",

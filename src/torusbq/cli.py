@@ -33,6 +33,7 @@ from .io import (
     write_timeseries,
 )
 from .ldp import FUNCTIONALS, ControlFamily, RareEvent, varadhan_gap
+from .ldp import check_eps_list, check_n_paths
 from .mollifier import MollifierSpec, mollify
 from .solver import SolverConfig, State, run, run_ensemble
 
@@ -66,7 +67,6 @@ def _load(args):
             raise ConfigError("--control needs an active [noise] section")
         control = read_control_csv(args.control, config.noise.spec.truncation)
         config = dataclasses.replace(config, control=control)
-        harness.control_file = args.control
     harness.out_dir.mkdir(parents=True, exist_ok=True)
     return config, harness
 
@@ -128,6 +128,8 @@ _ENSEMBLE_FUNCTIONALS = ("terminal_l2_u", "sup_l2_u", "terminal_l2_theta")
 def cmd_ensemble(args) -> int:
     config, harness = _load(args)
     n_paths = args.paths if args.paths is not None else 8
+    if n_paths < 1:
+        raise ConfigError(f"--paths: need at least one path, got {n_paths}")
     manifest = _manifest(harness)
     functionals = {
         name: FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS
@@ -219,6 +221,15 @@ def cmd_ldp_mc(args) -> int:
         key = "box_bound" if str(exc).startswith("box") else "family_blocks"
         raise ConfigError(f"[ldp].{key}: {exc}") from None
     n_paths = args.paths if args.paths is not None else settings.n_paths
+    paths_key = "--paths" if args.paths is not None else "[ldp].n_paths"
+    for key, check, value in (
+        (paths_key, check_n_paths, n_paths),
+        ("[ldp].eps_list", check_eps_list, settings.eps_list),
+    ):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     manifest = _manifest(harness)
     table = varadhan_gap(
         config,

@@ -250,10 +250,10 @@ def vorticity_consistency(
         raise ValueError("vorticity consistency applies to the untruncated system")
     if config.control is not None:
         raise ValueError("vorticity consistency applies to uncontrolled runs")
+    states = []
     primal = run(
-        config, stream=stream, initial_state=initial_state, store_states=True
+        config, stream, [lambda s, row: states.append(s)], initial_state=initial_state
     )
-    states = primal.states
     dt, nu = config.dt, config.viscosity
     eps = config.epsilon
 
@@ -285,7 +285,7 @@ def vorticity_consistency(
         if eps > 0:
             inc = sample_increment(config.noise.spec, dt, stream, j)
             curls, means = _curled_mode_data(config, u_full, theta)
-            weights = np.sqrt(eps * config.noise.spec.eigenvalues) * inc.coefficients
+            weights = np.sqrt(eps * config.noise.spec.eigenvalues) * inc
             for wgt, ck, mk in zip(weights, curls, means):
                 rhs = rhs + wgt * ck
                 mean_u = mean_u + wgt * mk

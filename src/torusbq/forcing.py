@@ -43,8 +43,6 @@ class RandomStream:
 
     def normals(self, step_index: int, count: int) -> np.ndarray:
         """`count` standard normals for the given step."""
-        if count == 0:
-            return np.empty(0)
         bitgen = np.random.Philox(
             key=np.array(
                 [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.path_index],
@@ -137,22 +135,13 @@ def default_qwiener(
     return QWienerSpec(tuple(modes[:n_modes]), np.array(lams[:n_modes]))
 
 
-@dataclass
-class NoiseIncrement:
-    """One step's Gaussian increments, Normal(0, dt) per retained mode."""
-
-    coefficients: np.ndarray
-    dt: float
-
-
 def sample_increment(
     spec: QWienerSpec, dt: float, stream: RandomStream, step_index: int = 0
-) -> NoiseIncrement:
-    """Draw the step's increments; deterministic in (stream, step_index)."""
+) -> np.ndarray:
+    """Normal(0, dt) increments per retained mode, fixed by (stream, step_index)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    z = stream.normals(step_index, spec.truncation)
-    return NoiseIncrement(z * np.sqrt(dt), dt)
+    return stream.normals(step_index, spec.truncation) * np.sqrt(dt)
 
 
 def _mode_direction(k, dimension):
@@ -286,10 +275,10 @@ def weighted_sum(
 
 
 def apply_noise(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, inc: NoiseIncrement
+    f: NoiseIntensity, spec: QWienerSpec, u, theta, inc: np.ndarray
 ) -> SpectralVectorField:
-    """P sum_k sqrt(lambda_k) f(u, theta) e_k dW_k; divergence-free output."""
-    return weighted_sum(f, spec, u, theta, inc.coefficients)
+    """P sum_k sqrt(lambda_k) f(u, theta) e_k dW_k with dW = inc; divergence-free."""
+    return weighted_sum(f, spec, u, theta, inc)
 
 
 def hs_norm(f: NoiseIntensity, spec: QWienerSpec, u, theta, s: int) -> float:
@@ -326,7 +315,7 @@ def ito_isometry_estimate(
         sp = stream.for_path(p)
         total = np.zeros(spec.truncation)
         for j in range(n_steps):
-            total += sample_increment(spec, dt, sp, j).coefficients
+            total += sample_increment(spec, dt, sp, j)
         summed = weighted_sum(f, spec, u, theta, total)
         acc[p] = sobolev_norm(summed, 0) ** 2
     lhs = float(np.sum(acc) / n_paths)

@@ -70,7 +70,6 @@ DEFAULTS = {
         "galerkin_modes": ("int", 0),  # 0: full resolution
         "advection": ("str", "semi_lagrangian"),
         "interpolation": ("str", "cubic"),
-        "dealias": ("bool", True),
         "cfl_cap": ("float", 1.0),
         "init_velocity": ("str", "zero"),
         "init_velocity_amplitude": ("float", 1.0),
@@ -142,7 +141,6 @@ class HarnessSettings:
     seed: int = 0
     ldp: Optional[LdpSettings] = None
     config_bytes: bytes = b""
-    control_file: str = ""
 
 
 def _convert(section: str, key: str, kind: str, raw: str):
@@ -289,9 +287,7 @@ def parse_config(path) -> tuple:
 
     try:
         scheme = AdvectionScheme(
-            values[("physics", "advection")],
-            values[("physics", "interpolation")],
-            values[("physics", "dealias")],
+            values[("physics", "advection")], values[("physics", "interpolation")]
         )
     except ValueError as exc:
         raise ConfigError(f"[physics]: {exc}") from None
@@ -361,7 +357,6 @@ def parse_config(path) -> tuple:
         seed=values[("output", "seed")],
         ldp=ldp,
         config_bytes=path.read_bytes(),
-        control_file=control_file,
     )
     return config, harness
 

@@ -166,8 +166,7 @@ def mc_rare_event(
     is evaluated once and reports exactly 0 or 1; an estimate of exactly zero
     gets the one-sided rule-of-three interval (0, 3/n).
     """
-    if n_paths < 100:
-        raise ValueError("rare-event estimation needs n_paths >= 100")
+    check_n_paths(n_paths)
     cfg = dataclasses.replace(config, epsilon=epsilon)
     functional = event.build(cfg)
     if epsilon == 0.0:
@@ -190,6 +189,12 @@ def mc_rare_event(
         return 1.0, (1.0 - 3.0 / n_paths, 1.0)
     half = norm.ppf(0.975) * np.sqrt(p * (1.0 - p) / n_paths)
     return p, (max(0.0, p - half), min(1.0, p + half))
+
+
+def check_n_paths(n_paths: int):
+    """Raise ValueError if n_paths is too few for a rare-event estimate."""
+    if n_paths < 100:
+        raise ValueError(f"rare-event estimation needs n_paths >= 100, got {n_paths}")
 
 
 class _EventIndicator:
@@ -407,6 +412,13 @@ class VaradhanTable:
                 )
 
 
+def check_eps_list(eps: list):
+    """Raise ValueError unless eps is strictly decreasing inside (0, 1]."""
+    inside = all(0.0 < e <= 1.0 for e in eps)
+    if not inside or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"epsilons must decrease strictly inside (0, 1], got {eps}")
+
+
 def varadhan_gap(
     config: SolverConfig,
     event: RareEvent,
@@ -418,8 +430,7 @@ def varadhan_gap(
 ) -> VaradhanTable:
     """Monte Carlo -eps log p_hat rows plus the family's best control cost."""
     eps = list(eps_list)
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    check_eps_list(eps)
     best_cost = np.nan
     if family is not None:
         result = minimize_cost(event, family, config)

@@ -20,7 +20,9 @@ advective contributions vanish exactly once phi = 0.
 
 grad u is computed once per state (spectral.gradient_summary, cached on the
 velocity field): the diagnostic row's |grad u|_inf, the next step's cut-off
-and that step's (u . grad) u all read the same transform.
+and that step's (u . grad) u all read the same transform.  Solenoidality is
+checked once per run, on the initial velocity: every term added to u is
+Leray-projected, so step only reports each new velocity's defect.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .forcing import (
     weighted_sum,
 )
 from .spectral import (
+    DIV_FREE_RTOL,
     Grid,
     SpectralScalarField,
     SpectralVectorField,
@@ -275,7 +278,7 @@ def step(
     """Advance one step; returns (new state, info dict).
 
     info carries phi, the CFL number of the advecting velocity, and the
-    divergence defect of the updated velocity.
+    divergence defect of the updated velocity (reported, never corrected).
     """
     dt = config.dt
     drift, phi = momentum_rhs(state, config)
@@ -371,7 +374,6 @@ class TrajectoryRecord:
     stop_reason: Optional[str] = None
     blown_up: bool = False
     final_state: Optional[State] = None
-    states: Optional[list] = None
     epsilon: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
@@ -495,6 +497,10 @@ def _prepare_state(state: State, config: SolverConfig) -> State:
     u = dealias(state.u)
     if config.galerkin_modes is not None:
         u = galerkin_project(u, config.galerkin_modes)
+    defect = divergence_defect(u)
+    if not defect <= DIV_FREE_RTOL:  # also refuses a NaN velocity
+        msg = f"initial velocity has divergence defect {defect:.3e} > {DIV_FREE_RTOL:g}"
+        raise ValueError(msg + "; leray_project it first")
     return State(state.t, u, state.theta)
 
 
@@ -504,17 +510,17 @@ def run(
     observers: Sequence[Callable] = (),
     stopping_rules: Sequence = (),
     initial_state: Optional[State] = None,
-    store_states: bool = False,
     full_diagnostics: bool = True,
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording diagnostics each step.
 
     The initial velocity is restricted to the dealiased band (and the Galerkin
-    band when configured) so quadratic products stay alias-free.  Stopping
-    rules (diagnostics.StoppingRule) are evaluated on the growing record,
-    including the initial row; blow-up terminates the record instead of
-    raising.  full_diagnostics=False keeps only the norms the stepper needs,
-    for large ensembles.
+    band when configured) so quadratic products stay alias-free, and refused
+    if its divergence defect exceeds DIV_FREE_RTOL.  Observers get obs(state,
+    row) for every state reached.  Stopping rules (diagnostics.StoppingRule)
+    are evaluated on the growing record, including the initial row; blow-up
+    terminates the record instead of raising.  full_diagnostics=False keeps
+    only the norms the stepper needs, for large ensembles.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")
@@ -522,8 +528,6 @@ def run(
     state = _prepare_state(state, config)
 
     record = TrajectoryRecord(dt=config.dt, epsilon=config.epsilon)
-    if store_states:
-        record.states = [state]
     row = _diagnostic_row(state, config, full_diagnostics)
     record.rows.append(row)
     for obs in observers:
@@ -562,8 +566,6 @@ def run(
             row.energy_residual = _energy_residual(state, new_state, config)
         record.rows.append(row)
         state = new_state
-        if store_states:
-            record.states.append(state)
         for obs in observers:
             obs(state, row)
         stopped = check_rules()

@@ -23,7 +23,8 @@ gradient_summary transforms grad u once per velocity field and keeps
 |grad u|_inf and the samples of (u . grad) u for every later consumer.
 
 Norms and inner products read from coefficients go through the Parseval
-helpers parseval_l2, parseval_grad_l2 and parseval_inner.
+helpers parseval_l2, parseval_grad_l2 and parseval_inner.  No operator projects
+on its own; the solver checks divergence_defect against DIV_FREE_RTOL once per run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import scipy.fft
 #: Largest Sobolev index accepted by sobolev_norm.
 SOBOLEV_INDEX_CAP = 8
 
-_DIV_FREE_RTOL = 1e-10
+#: Largest divergence_defect a velocity may have and still count as solenoidal.
+DIV_FREE_RTOL = 1e-10
 
 
 class Grid:
@@ -98,7 +100,6 @@ class Grid:
             np.logical_and, (np.abs(ka) <= cut for ka in axes)
         )
         x = -np.pi + self.spacing * np.arange(n)
-        self.x1d = x
         self.x_mesh = np.meshgrid(*([x] * dimension), indexing="ij")
 
     def mode_index(self, k) -> tuple:
@@ -464,12 +465,11 @@ def implicit_diffusion_solve(
 ) -> SpectralVectorField:
     """Solve (I + dt * nu * A) v = rhs per mode: divide by 1 + dt nu |k|^2.
 
-    rhs is checked for solenoidality and Leray-projected if it fails.
+    No projection: a solenoidal rhs gives a solenoidal v, and the solver
+    checks solenoidality once per run, on the initial velocity.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if divergence_defect(rhs) > _DIV_FREE_RTOL:
-        rhs = leray_project(rhs)
     g = rhs.grid
     denom = 1.0 + dt * viscosity * g.k2
     return SpectralVectorField(g, coeffs=rhs.coefficients / denom)

@@ -27,6 +27,7 @@ from scipy.ndimage import map_coordinates
 from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
+    dealias,
     gradient,
     gradient_summary,
     lp_norm,
@@ -40,12 +41,10 @@ class AdvectionScheme:
     kind: "semi_lagrangian" or "spectral_rk2".
     interpolation: "cubic" or "linear" (semi-Lagrangian only; linear is the
         L^inf-certified configuration).
-    dealias: apply the 2/3 rule to the advective product (spectral only).
     """
 
     kind: str = "semi_lagrangian"
     interpolation: str = "cubic"
-    dealias: bool = True
 
     def __post_init__(self):
         if self.kind not in ("semi_lagrangian", "spectral_rk2"):
@@ -92,17 +91,13 @@ def _advect_semi_lagrangian(theta, u, dt, scheme) -> SpectralScalarField:
     return SpectralScalarField.from_samples(theta.grid, values)
 
 
-def _advect_spectral_rk2(theta, u, dt, scheme) -> SpectralScalarField:
+def _advect_spectral_rk2(theta, u, dt) -> SpectralScalarField:
     grid = theta.grid
-    mask = grid.dealias_mask if scheme.dealias else None
 
     def tendency(coeffs):
         grad = gradient(SpectralScalarField(grid, coeffs=coeffs)).samples
         total = np.einsum("i...,i...->...", u.samples, grad)
-        out = SpectralScalarField(grid, samples=total).coefficients
-        if mask is not None:
-            out = out * mask
-        return -out
+        return -dealias(SpectralScalarField(grid, samples=total)).coefficients
 
     c0 = theta.coefficients
     k1 = tendency(c0)
@@ -126,7 +121,7 @@ def advect(
         return theta
     if scheme.kind == "semi_lagrangian":
         return _advect_semi_lagrangian(theta, u, dt, scheme)
-    return _advect_spectral_rk2(theta, u, dt, scheme)
+    return _advect_spectral_rk2(theta, u, dt)
 
 
 def grad_sup(theta: SpectralScalarField) -> float:

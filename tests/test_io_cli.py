@@ -386,6 +386,10 @@ quiet = true
             ("direction", "above"),
             ("family_blocks", "0"),
             ("mode_index", "5"),
+            ("n_paths", "20"),
+            ("eps_list", "0.01,0.04"),
+            ("eps_list", "1.5,0.5"),
+            ("eps_list", "0.04,0"),
         ],
     )
     def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, key, value):
@@ -398,6 +402,15 @@ quiet = true
         cfg = write_config(tmp_path, "\n".join(lines))
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         assert f"error: [ldp].{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, paths",
+        [("ensemble", SIM_CONFIG, "0"), ("ldp-mc", LDP_CONFIG, "50")],
+    )
+    def test_bad_paths_names_flag(self, tmp_path, capsys, command, text, paths):
+        cfg = write_config(tmp_path, text.format(out=tmp_path / "out"))
+        assert main([command, "--config", str(cfg), "--paths", paths]) == 1
+        assert "error: --paths: " in capsys.readouterr().err
 
     def test_ldp_mc_needs_noise(self, tmp_path, capsys):
         text = f"\n[ldp]\nthreshold = 0.05\n\n[output]\ndirectory = {tmp_path}\n"

@@ -184,6 +184,13 @@ class TestMcRareEvent:
         exact = norm.sf(2.0)
         assert lo <= exact <= hi
 
+    def test_parallel_bitwise_equal(self):
+        cfg = toy_config()
+        event = RareEvent("terminal_mode_amplitude", 0.05)
+        serial = mc_rare_event(cfg, event, 0.04, 100, 3)
+        assert 0.0 < serial[0] < 1.0
+        assert mc_rare_event(cfg, event, 0.04, 100, 3, n_jobs=2) == serial
+
     def test_rule_of_three_on_zero(self):
         cfg = toy_config()
         event = RareEvent("terminal_mode_amplitude", 100.0)

@@ -7,7 +7,9 @@ from torusbq.forcing import (
     additive_intensity,
     default_mode_fields,
     default_qwiener,
+    multiplicative_intensity,
 )
+from torusbq.ldp import FUNCTIONALS
 from torusbq.solver import (
     Control,
     InitialCondition,
@@ -215,6 +217,52 @@ class TestRunBookkeeping:
         defects = rec.column("div_defect")[1:]
         assert np.max(defects) <= 1e-10
 
+    def test_refuses_nonsolenoidal_initial_velocity(self):
+        grid = Grid(2, 16)
+        theta = SpectralScalarField.zero(grid)
+        compressible = SpectralVectorField.from_samples(
+            grid, np.sin(grid.x_mesh[0]), np.zeros(grid.shape)
+        )  # div u = cos x1
+        with pytest.raises(ValueError, match=r"divergence defect 2\.221e\+00 > 1e-10"):
+            run(base_config(n=16), initial_state=State(0.0, compressible, theta))
+        nan = SpectralVectorField.from_sample_stack(
+            grid, np.full((2,) + grid.shape, np.nan)
+        )
+        with pytest.raises(ValueError, match="divergence defect nan"):
+            run(base_config(n=16), initial_state=State(0.0, nan, theta))
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize(
+        "case",
+        ["buoyancy", "cutoff_advection", "control", "multiplicative_noise",
+         "galerkin", "spectral_rk2"],
+    )
+    def test_every_row_solenoidal(self, dimension, case):
+        # every drift and noise term is Leray-projected: no row may lose it
+        grid = Grid(dimension, 16 if dimension == 2 else 8)
+        spec = default_qwiener(dimension, 4)
+        fields = default_mode_fields(grid, spec)
+        velocity = "zero" if case == "buoyancy" else "taylor_green"
+        kw = dict(init=InitialCondition(velocity, temperature="random", seed=1))
+        if case == "cutoff_advection":
+            kw["cutoff_R"] = 1.0  # R < |grad u|_inf < 2R, checked below
+        elif case == "control":
+            kw["noise"] = NoiseModel(spec, additive_intensity(fields))
+            kw["control"] = Control(np.array([0.0]), np.ones((1, 4)))
+        elif case == "multiplicative_noise":
+            intensity = multiplicative_intensity(fields, a0=0.5, a1=0.3, a2=0.2)
+            kw.update(noise=NoiseModel(spec, intensity), epsilon=0.5)
+        elif case == "galerkin":
+            kw["galerkin_modes"] = 2
+        elif case == "spectral_rk2":
+            kw["scheme"] = AdvectionScheme("spectral_rk2")
+        cfg = SolverConfig(grid=grid, dt=0.01, t_end=0.05, **kw)
+        rec = run(cfg, stream=RandomStream(2))
+        assert not rec.blown_up and len(rec.rows) == 6
+        if case == "cutoff_advection":
+            assert all(0.0 < row.phi_value < 1.0 for row in rec.rows[1:])
+        assert np.max(rec.column("div_defect")[1:]) <= 1e-10
+
     def test_reproducible(self):
         cfg = base_config(
             dt=5e-3,
@@ -406,6 +454,25 @@ class TestEnsemble:
         direct = run(cfg, stream=RandomStream(12, 0))
         assert summary.values["terminal_l2"][0] == direct.rows[-1].l2_u
         assert summary.variance["terminal_l2"] == 0.0
+
+    def test_parallel_bitwise_equal(self):
+        grid = Grid(2, 8)
+        cfg = SolverConfig(
+            grid=grid,
+            dt=0.01,
+            t_end=0.05,
+            epsilon=0.3,
+            noise=single_mode_noise(grid),
+            init=InitialCondition(velocity="taylor_green", temperature="sine"),
+        )
+        functionals = {name: FUNCTIONALS[name][0](cfg) for name in FUNCTIONALS}
+        serial = run_ensemble(cfg, 9, 4, functionals)
+        parallel = run_ensemble(cfg, 9, 4, functionals, n_jobs=2)
+        for name in functionals:
+            assert np.array_equal(serial.values[name], parallel.values[name])
+        assert (serial.mean, serial.variance, serial.max) == (
+            parallel.mean, parallel.variance, parallel.max
+        )
 
     def test_deterministic_zero_variance(self):
         grid = Grid(2, 16)

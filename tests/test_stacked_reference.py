@@ -51,8 +51,6 @@ def ref_divergence_defect(grid, comps):
 
 
 def ref_implicit_solve(grid, comps, dt, viscosity):
-    if ref_divergence_defect(grid, comps) > 1e-10:
-        comps = ref_leray(grid, comps)
     return [c / (1.0 + dt * viscosity * grid.k2) for c in comps]
 
 
