@@ -298,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument(
-            "--paths", type=int, default=None, help="number of Monte Carlo paths"
-        )
+        if name in ("ensemble", "ldp-mc"):
+            p.add_argument(
+                "--paths", type=int, default=None, help="number of Monte Carlo paths"
+            )
         p.add_argument(
             "--control", default=None, help="control CSV of rows t,mode,value"
         )

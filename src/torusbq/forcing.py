@@ -7,7 +7,8 @@ family in additive mode, or an affine diagonal Nemytskii envelope
 (a0 + a1 u_i + a2 theta) times the same family in multiplicative mode.
 
 Streams are counter-based (Philox) and keyed by (master seed, path index,
-step index), so ensembles are reproducible in any evaluation order.
+step index), so ensembles are reproducible in any evaluation order; each
+stream reuses one generator, resetting its counter per step.
 """
 
 from __future__ import annotations
@@ -26,16 +27,29 @@ from .spectral import (
 
 
 class RandomStream:
-    """Stateless counter-based Gaussian stream for one simulated path.
+    """Counter-based Gaussian stream for one simulated path.
 
     The tuple (master_seed, path_index, step_index, draw position) fully
-    determines every variate, so distinct paths and steps can be generated
-    independently and in any order.
+    determines every variate.  The stream builds one Philox generator, keyed
+    by (master_seed, path_index), and each normals call resets its counter to
+    [0, step_index, 0, 0] and clears its buffer first.  A draw is thus
+    bitwise that of a freshly built generator, so distinct paths and steps
+    can be drawn independently and in any order.  The generator is mutable
+    state, so one stream must not be drawn from by two threads at once.
     """
 
     def __init__(self, master_seed: int, path_index: int = 0):
         self.master_seed = int(master_seed)
         self.path_index = int(path_index)
+        self._bitgen = np.random.Philox(
+            key=np.array(
+                [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.path_index],
+                dtype=np.uint64,
+            )
+        )
+        self._generator = np.random.Generator(self._bitgen)
+        # the state of a generator that has drawn nothing; normals sets its counter
+        self._fresh_state = self._bitgen.state
 
     def for_path(self, path_index: int) -> "RandomStream":
         """Stream for another path under the same master seed."""
@@ -43,14 +57,9 @@ class RandomStream:
 
     def normals(self, step_index: int, count: int) -> np.ndarray:
         """`count` standard normals for the given step."""
-        bitgen = np.random.Philox(
-            key=np.array(
-                [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.path_index],
-                dtype=np.uint64,
-            ),
-            counter=np.array([0, int(step_index), 0, 0], dtype=np.uint64),
-        )
-        return np.random.Generator(bitgen).standard_normal(count)
+        self._fresh_state["state"]["counter"][1] = int(step_index)
+        self._bitgen.state = self._fresh_state
+        return self._generator.standard_normal(count)
 
 
 @dataclass(frozen=True)

@@ -428,9 +428,13 @@ def varadhan_gap(
     master_seed: int = 0,
     n_jobs: int = 1,
 ) -> VaradhanTable:
-    """Monte Carlo -eps log p_hat rows plus the family's best control cost."""
+    """Monte Carlo -eps log p_hat rows plus the family's best control cost.
+
+    eps_list and n_paths are checked before the minimisation runs.
+    """
     eps = list(eps_list)
     check_eps_list(eps)
+    check_n_paths(n_paths)
     best_cost = np.nan
     if family is not None:
         result = minimize_cost(event, family, config)

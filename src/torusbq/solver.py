@@ -20,9 +20,16 @@ advective contributions vanish exactly once phi = 0.
 
 grad u is computed once per state (spectral.gradient_summary, cached on the
 velocity field): the diagnostic row's |grad u|_inf, the next step's cut-off
-and that step's (u . grad) u all read the same transform.  Solenoidality is
-checked once per run, on the initial velocity: every term added to u is
-Leray-projected, so step only reports each new velocity's defect.
+and that step's (u . grad) u all read the same transform.  A step whose
+state has no cached summary first bounds |grad u|_inf from below by the
+grid RMS of grad u, which Parseval gives from the coefficients; once that
+RMS reaches 2R, phi = 0 exactly (the sup is at least the RMS) and grad u is
+never transformed.  Light-row runs whose velocity gradient sits past 2R
+step that way.
+
+Solenoidality is checked once per run, on the initial velocity: every term
+added to u is Leray-projected, so step only reports each new velocity's
+defect.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .spectral import (
     divergence_defect,
     galerkin_project,
     gradient,
+    grad_rms_reaches,
     gradient_summary,
     implicit_diffusion_solve,
     leray_project,
@@ -251,12 +259,20 @@ def momentum_rhs(state: State, config: SolverConfig):
     drift = -phi P(u.grad u) + P(theta e_d) + P f h(t), each term Galerkin
     projected when a mode truncation is configured.  The nonlinearity is
     skipped entirely when phi = 0, making its contribution exactly zero.
+
+    phi = 0 is settled without transforming grad u when u has no cached
+    gradient summary and the grid RMS of grad u already reaches 2R
+    (spectral.grad_rms_reaches): the sup is at least the RMS, so
+    cutoff(|grad u|_inf, R) would return exactly 0.0 too.
     """
     u, theta = state.u, state.theta
-    if config.cutoff_R > 0:
-        phi = cutoff(velocity_grad_sup(u), config.cutoff_R)
-    else:
+    R = config.cutoff_R
+    if R <= 0:
         phi = 1.0
+    elif grad_rms_reaches(u, 2.0 * R):
+        phi = 0.0
+    else:
+        phi = cutoff(velocity_grad_sup(u), R)
     drift = _buoyancy_term(theta)
     if config.control is not None:
         h = config.control.value_at(state.t)

@@ -20,7 +20,8 @@ scipy.fft call over the spatial axes, and operators work on whole stacks.
 Fields are immutable: operations return new fields, so a quantity derived
 from a field can be cached on it.  The velocity gradient is one:
 gradient_summary transforms grad u once per velocity field and keeps
-|grad u|_inf and the samples of (u . grad) u for every later consumer.
+|grad u|_inf and the samples of (u . grad) u for every later consumer;
+grad_rms_reaches bounds |grad u|_inf from below without that transform.
 
 Norms and inner products read from coefficients go through the Parseval
 helpers parseval_l2, parseval_grad_l2 and parseval_inner.  No operator projects
@@ -40,6 +41,10 @@ SOBOLEV_INDEX_CAP = 8
 
 #: Largest divergence_defect a velocity may have and still count as solenoidal.
 DIV_FREE_RTOL = 1e-10
+
+#: Relative margin by which grad_rms_reaches asks the RMS to clear its bound,
+#: far above the rounding of the Parseval sum and of the transformed sup.
+GRAD_RMS_MARGIN = 1e-9
 
 
 class Grid:
@@ -307,6 +312,23 @@ def gradient_summary(u: SpectralVectorField) -> GradientSummary:
     advection = np.einsum("j...,ji...->i...", u.samples, grad)
     u._summary = GradientSummary(sup, advection)
     return u._summary
+
+
+def grad_rms_reaches(u: SpectralVectorField, bound: float) -> bool:
+    """Whether the grid RMS of |grad u| alone shows |grad u|_inf >= bound.
+
+    By discrete Parseval the grid RMS is parseval_grad_l2 / (2 pi)^(d/2),
+    with the Nyquist-masked k that gradient_summary differentiates with, so
+    it costs no transform, and the sup is at least the RMS.  The RMS must
+    clear bound by GRAD_RMS_MARGIN, so a True answer survives rounding.
+    False whenever u already carries its gradient summary: the exact sup is
+    then free, and callers read it instead.
+    """
+    if u._summary is not None:
+        return False
+    g = u.grid
+    rms = parseval_grad_l2(g, u.coefficients) / (2 * np.pi) ** (g.dimension / 2)
+    return rms >= bound * (1.0 + GRAD_RMS_MARGIN)
 
 
 def parseval_l2(grid: Grid, coeffs: np.ndarray) -> float:

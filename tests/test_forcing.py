@@ -61,6 +61,29 @@ class TestStream:
         s.normals(2, 3)
         assert np.array_equal(late, s.normals(10, 3))
 
+    def test_matches_fresh_philox_in_any_order(self):
+        # one reused generator per stream must draw bitwise what a generator
+        # built for (seed, path) at counter [0, step, 0, 0] draws
+        import pickle
+
+        seed, path, count = 2**40 + 3, 5, 7
+
+        def fresh(step):
+            bitgen = np.random.Philox(
+                key=np.array([seed, path], dtype=np.uint64),
+                counter=np.array([0, step, 0, 0], dtype=np.uint64),
+            )
+            return np.random.Generator(bitgen).standard_normal(count)
+
+        stream = RandomStream(seed, path)
+        for step in (9, 0, 3, 3, 17, 1, 0):
+            assert np.array_equal(stream.normals(step, count), fresh(step))
+        stream.normals(4, 1)  # leaves a partly used buffer behind
+        copy = pickle.loads(pickle.dumps(stream))
+        for step in (4, 2, 11):
+            assert np.array_equal(copy.normals(step, count), fresh(step))
+            assert np.array_equal(stream.normals(step, count), fresh(step))
+
 
 class TestSpec:
     def test_default_spectrum(self):

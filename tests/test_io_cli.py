@@ -412,6 +412,14 @@ quiet = true
         assert main([command, "--config", str(cfg), "--paths", paths]) == 1
         assert "error: --paths: " in capsys.readouterr().err
 
+    def test_paths_only_where_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--paths", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --paths 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ldp_mc_needs_noise(self, tmp_path, capsys):
         text = f"\n[ldp]\nthreshold = 0.05\n\n[output]\ndirectory = {tmp_path}\n"
         cfg = write_config(tmp_path, MINIMAL + text)

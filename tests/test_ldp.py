@@ -250,6 +250,21 @@ class TestVaradhan:
         with pytest.raises(ValueError):
             varadhan_gap(cfg, RareEvent("terminal_l2_u", 1.0), [0.01, 0.02], 100)
 
+    def test_n_paths_checked_before_minimisation(self, monkeypatch):
+        import torusbq.ldp as ldp_module
+
+        solves = [0]
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return solve_skeleton(*args, **kwargs)
+
+        monkeypatch.setattr(ldp_module, "solve_skeleton", counted)
+        event = RareEvent("terminal_mode_amplitude", 0.1, params={"mode_index": 0})
+        with pytest.raises(ValueError, match="n_paths >= 100, got 50"):
+            varadhan_gap(toy_config(), event, [0.04], 50, family=ControlFamily(2))
+        assert solves[0] == 0
+
     def test_sure_event_rows(self):
         cfg = toy_config(
             cutoff_R=0.0,

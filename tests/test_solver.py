@@ -402,6 +402,66 @@ class TestCutoffSemantics:
         assert np.array_equal(new_state.u.coefficients, expect.coefficients)
 
 
+    @pytest.mark.parametrize("full_diagnostics", [False, True])
+    @pytest.mark.parametrize("case", ["ou_toy", "decaying_taylor_green"])
+    def test_phi_equals_cutoff_of_transformed_sup(
+        self, monkeypatch, case, full_diagnostics
+    ):
+        # phi settled by the Parseval RMS bound must be the cutoff of the sup
+        # a fresh transform of the pre-step velocity gives
+        import torusbq.solver as solver_module
+        from torusbq.transport import velocity_grad_sup
+
+        if case == "ou_toy":
+            grid = Grid(2, 8)
+            R = 1e-12
+            kw = dict(dt=0.0125, t_end=0.25, epsilon=0.01)
+            init = InitialCondition()
+        else:
+            # |grad u|_inf = sqrt(2) e^(-2t) and its grid RMS e^(-2t) fall
+            # through 2R = 0.9: phi is 0, first by the RMS, then in (0, 1)
+            grid = Grid(2, 16)
+            R = 0.45
+            kw = dict(dt=0.02, t_end=0.4, epsilon=1e-4)
+            init = InitialCondition(velocity="taylor_green")
+        cfg = SolverConfig(
+            grid=grid, cutoff_R=R, noise=single_mode_noise(grid), init=init, **kw
+        )
+        sup_calls = [0]
+
+        def counted(u):
+            sup_calls[0] += 1
+            return velocity_grad_sup(u)
+
+        monkeypatch.setattr(solver_module, "velocity_grad_sup", counted)
+        velocities = []
+        rec = run(
+            cfg,
+            stream=RandomStream(4),
+            observers=[lambda state, row: velocities.append(state.u)],
+            full_diagnostics=full_diagnostics,
+        )
+        phis = rec.column("phi_value")[1:]
+        expect = [
+            cutoff(
+                velocity_grad_sup(
+                    SpectralVectorField.from_coefficient_stack(
+                        grid, u.coefficients.copy()
+                    )
+                ),
+                R,
+            )
+            for u in velocities[:-1]
+        ]
+        assert len(phis) == cfg.n_steps
+        assert list(phis) == expect
+        assert 0.0 in expect
+        in_between = any(0.0 < phi < 1.0 for phi in expect)
+        assert in_between == (case == "decaying_taylor_green")
+        if not full_diagnostics:
+            assert sup_calls[0] < cfg.n_steps  # the bound settled some steps
+
+
 class TestGalerkin:
     def test_full_resolution_bit_identical(self):
         grid = Grid(2, 32)

@@ -13,6 +13,7 @@ import pytest
 import scipy.fft
 
 from torusbq.forcing import (
+    QWienerSpec,
     RandomStream,
     additive_intensity,
     default_mode_fields,
@@ -28,7 +29,7 @@ from torusbq.solver import (
     build_initial_state,
     step,
 )
-from torusbq.spectral import Grid
+from torusbq.spectral import Grid, SpectralVectorField
 
 TRANSFORMS = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -107,3 +108,38 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     # transforms only the advection product and the noise sum.
     _, used = count_transforms(step, new_state, config, stream, 1)
     assert used == warm_step
+
+
+def test_saturated_cutoff_light_steps(count_transforms):
+    # The OU toy: one additive mode and a cut-off radius every nonzero
+    # velocity overshoots, so phi = 0 from the second step on.
+    grid = Grid(2, 8)
+    spec = QWienerSpec((((0, 1), "cos"),), np.array([1.0]))
+    mode = SpectralVectorField.from_samples(
+        grid, np.cos(grid.x_mesh[1]), np.zeros(grid.shape)
+    )
+    config = SolverConfig(
+        grid=grid,
+        dt=0.0125,
+        t_end=0.25,
+        cutoff_R=1e-12,
+        epsilon=0.01,
+        noise=NoiseModel(spec, additive_intensity([mode])),
+    )
+    stream = RandomStream(5)
+    state = _prepare_state(build_initial_state(config), config)
+
+    # From u = 0 the step transforms grad u, the advection product and the
+    # noise sum (theta = 0 has no buoyancy term).
+    (state, info), used = count_transforms(step, state, config, stream, 0)
+    assert info["phi"] == 1.0
+    assert used == 3
+
+    # Later steps with light rows: the Parseval RMS of grad u settles
+    # phi = 0, so only the noise sum is transformed; the rows need none.
+    for j in range(1, config.n_steps):
+        (state, info), used = count_transforms(step, state, config, stream, j)
+        assert info["phi"] == 0.0
+        assert used == 1
+        _, used = count_transforms(_diagnostic_row, state, config, False)
+        assert used == 0
