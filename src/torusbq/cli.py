@@ -1,10 +1,23 @@
 """Command-line front end.
 
-Subcommands: simulate (one path), ensemble (many paths plus a summary),
-skeleton (noise-free controlled run), check-invariants (property battery with
-a machine-readable report), ldp-mc (small-noise rare-event table), mollify
-(smooth a snapshot).  Exit codes: 0 success, 1 validation error, 2 numerical
-blow-up detected, 3 invariant failure.
+Each subcommand takes only the flags it reads:
+
+    simulate          --config --seed --out-dir --control --quiet
+    ensemble          --config --seed --out-dir --paths --control --quiet
+    skeleton          --config --out-dir --control --quiet
+    check-invariants  --config --out-dir --quiet
+    ldp-mc            --config --seed --out-dir --paths --quiet
+    mollify           --input --epsilon --out-dir --quiet
+
+simulate runs one path, ensemble many plus a summary and skeleton the
+noise-free controlled system; check-invariants runs the property battery,
+ldp-mc tabulates small-noise rare events of the uncontrolled law and mollify
+smooths a snapshot.  --seed, --out-dir and --quiet override [output].seed,
+.directory and .quiet; --control replaces [control].file.  A command validates
+and computes before its output directory is created, then its files are
+written next to a manifest.json of their sha256 digests.  Exit codes:
+0 success, 1 validation error (nothing written), 2 numerical blow-up
+detected, 3 invariant failure.
 """
 
 from __future__ import annotations
@@ -14,7 +27,9 @@ import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +50,7 @@ from .io import (
 from .ldp import FUNCTIONALS, ControlFamily, RareEvent, varadhan_gap
 from .ldp import check_eps_list, check_n_paths
 from .mollifier import MollifierSpec, mollify
-from .solver import SolverConfig, State, run, run_ensemble
+from .solver import State, run, run_ensemble
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,20 +58,41 @@ EXIT_BLOW_UP = 2
 EXIT_INVARIANT = 3
 
 
+@dataclasses.dataclass
+class Outcome:
+    """What a command computed, before anything is written.
+
+    files maps each output file name to a function writing it to a path;
+    lines go to stdout unless quiet, then error (if any) to stderr.
+    """
+
+    files: dict
+    lines: list = dataclasses.field(default_factory=list)
+    error: Optional[str] = None
+    code: int = EXIT_OK
+    stop_reason: Optional[str] = None
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _say(harness, message):
-    if not harness.quiet:
-        print(message)
+def _write_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(args):
-    if not args.config:
+    """(config, harness) with the flag overrides; mollify, which reads a
+    snapshot, gets no config and the default harness (cwd, seed 0)."""
+    if "config" not in vars(args):
+        config, harness = None, HarnessSettings(out_dir=Path("."))
+    elif not args.config:
         raise ConfigError("--config is required for this command")
-    config, harness = parse_config(args.config)
-    if args.seed is not None:
+    else:
+        config, harness = parse_config(args.config)
+    if getattr(args, "seed", None) is not None:
         harness.seed = args.seed
     if args.out_dir is not None:
         harness.out_dir = Path(args.out_dir)
@@ -67,136 +103,120 @@ def _load(args):
             raise ConfigError("--control needs an active [noise] section")
         control = read_control_csv(args.control, config.noise.spec.truncation)
         config = dataclasses.replace(config, control=control)
-    harness.out_dir.mkdir(parents=True, exist_ok=True)
     return config, harness
 
 
-def _manifest(harness: HarnessSettings) -> RunManifest:
-    return RunManifest(
+def _write_outputs(outcome: Outcome, harness: HarnessSettings, started: str) -> int:
+    """The one place outputs are written: the directory, the command's files
+    and manifest.json with their digests; then the chatter and the exit code."""
+    out_dir = harness.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
         config_hash=config_hash(harness.config_bytes),
         master_seed=harness.seed,
-        started=_now(),
+        started=started,
+        stop_reason=outcome.stop_reason,
+    )
+    for name, write in outcome.files.items():
+        write(out_dir / name)
+        manifest.add_file(out_dir / name)
+    manifest.finished = _now()
+    manifest.write(out_dir / "manifest.json")
+    if not harness.quiet:
+        for line in outcome.lines:
+            print(line)
+    if outcome.error is not None:
+        print(f"error: {outcome.error}", file=sys.stderr)
+    return outcome.code
+
+
+def _trajectory_outcome(record, harness) -> Outcome:
+    files = {}
+    if harness.write_timeseries:
+        files["timeseries.csv"] = partial(write_timeseries, record)
+    if harness.snapshot_final:
+        files["state_final.bqsf"] = partial(write_snapshot, record.final_state)
+    if not record.blown_up:
+        lines = [f"wrote {', '.join(files)} to {harness.out_dir}"]
+        return Outcome(files, lines, stop_reason=record.stop_reason)
+    cause = record.stop_reason.replace("_", " ").replace(":", " in ")
+    error = f"numerical {cause} at t={record.rows[-1].t:.6g}"
+    return Outcome(
+        files, error=error, code=EXIT_BLOW_UP, stop_reason=record.stop_reason
     )
 
 
-def _finish_run(record, config, harness, manifest) -> int:
-    outputs = []
-    if harness.write_timeseries:
-        ts = harness.out_dir / "timeseries.csv"
-        write_timeseries(record, ts)
-        outputs.append(ts)
-    if harness.snapshot_final and record.final_state is not None:
-        snap = harness.out_dir / "state_final.bqsf"
-        write_snapshot(record.final_state, snap)
-        outputs.append(snap)
-    manifest.stop_reason = record.stop_reason
-    manifest.finished = _now()
-    for path in outputs:
-        manifest.add_file(path)
-    manifest.write(harness.out_dir / "manifest.json")
-    if record.blown_up:
-        print(
-            f"error: numerical {record.stop_reason.replace('_', ' ').replace(':', ' in ')} "
-            f"at t={record.rows[-1].t:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_BLOW_UP
-    _say(harness, f"wrote {', '.join(p.name for p in outputs)} to {harness.out_dir}")
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    config, harness = _load(args)
-    manifest = _manifest(harness)
+def cmd_simulate(args, config, harness) -> Outcome:
     stream = RandomStream(harness.seed) if config.epsilon > 0 else None
-    record = run(config, stream=stream)
-    return _finish_run(record, config, harness, manifest)
+    return _trajectory_outcome(run(config, stream=stream), harness)
 
 
-def cmd_skeleton(args) -> int:
-    config, harness = _load(args)
-    config = dataclasses.replace(config, epsilon=0.0)
-    manifest = _manifest(harness)
-    record = run(config)
-    return _finish_run(record, config, harness, manifest)
+def cmd_skeleton(args, config, harness) -> Outcome:
+    return _trajectory_outcome(run(dataclasses.replace(config, epsilon=0.0)), harness)
 
 
 #: ensemble summary columns, built from ldp.FUNCTIONALS
 _ENSEMBLE_FUNCTIONALS = ("terminal_l2_u", "sup_l2_u", "terminal_l2_theta")
 
 
-def cmd_ensemble(args) -> int:
-    config, harness = _load(args)
+def cmd_ensemble(args, config, harness) -> Outcome:
     n_paths = args.paths if args.paths is not None else 8
     if n_paths < 1:
         raise ConfigError(f"--paths: need at least one path, got {n_paths}")
-    manifest = _manifest(harness)
     functionals = {
         name: FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS
     }
     summary = run_ensemble(
         config, n_paths, harness.seed, functionals, full_diagnostics=False
     )
-    paths_csv = harness.out_dir / "ensemble_paths.csv"
-    with open(paths_csv, "w") as fh:
-        fh.write("path," + ",".join(_ENSEMBLE_FUNCTIONALS) + "\n")
-        for p in range(n_paths):
-            vals = ",".join(
-                format(summary.values[name][p], ".17g")
-                for name in _ENSEMBLE_FUNCTIONALS
-            )
-            fh.write(f"{p},{vals}\n")
+
+    def write_paths(path):
+        with open(path, "w") as fh:
+            fh.write("path," + ",".join(_ENSEMBLE_FUNCTIONALS) + "\n")
+            for p in range(n_paths):
+                vals = ",".join(
+                    format(summary.values[name][p], ".17g")
+                    for name in _ENSEMBLE_FUNCTIONALS
+                )
+                fh.write(f"{p},{vals}\n")
+
     blown = int(np.sum(~np.isfinite(summary.values[_ENSEMBLE_FUNCTIONALS[0]])))
-    summary_json = harness.out_dir / "ensemble_summary.json"
-    with open(summary_json, "w") as fh:
-        json.dump(
-            {
-                "n_paths": n_paths,
-                "master_seed": harness.seed,
-                "blown_up_paths": blown,
-                "mean": summary.mean,
-                "variance": summary.variance,
-                "max": summary.max,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    manifest.finished = _now()
-    manifest.add_file(paths_csv)
-    manifest.add_file(summary_json)
-    manifest.write(harness.out_dir / "manifest.json")
+    report = {
+        "n_paths": n_paths,
+        "master_seed": harness.seed,
+        "blown_up_paths": blown,
+        "mean": summary.mean,
+        "variance": summary.variance,
+        "max": summary.max,
+    }
+    files = {
+        "ensemble_paths.csv": write_paths,
+        "ensemble_summary.json": partial(_write_json, report),
+    }
     if blown:
-        print(f"error: {blown}/{n_paths} paths blew up", file=sys.stderr)
-        return EXIT_BLOW_UP
-    _say(harness, f"ensemble of {n_paths} paths summarised in {harness.out_dir}")
-    return EXIT_OK
+        error = f"{blown}/{n_paths} paths blew up"
+        return Outcome(files, error=error, code=EXIT_BLOW_UP)
+    lines = [f"ensemble of {n_paths} paths summarised in {harness.out_dir}"]
+    return Outcome(files, lines)
 
 
-def cmd_check_invariants(args) -> int:
-    config, harness = _load(args)
-    manifest = _manifest(harness)
+def cmd_check_invariants(args, config, harness) -> Outcome:
     results = run_invariant_battery(config)
-    report = harness.out_dir / "invariants.json"
-    with open(report, "w") as fh:
-        json.dump(as_json(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.finished = _now()
-    manifest.add_file(report)
-    manifest.write(harness.out_dir / "manifest.json")
-    for line in report_lines(results):
-        _say(harness, line)
-    if not all(r.passed for r in results):
-        print("error: invariant failure (see invariants.json)", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    files = {"invariants.json": partial(_write_json, as_json(results))}
+    if all(r.passed for r in results):
+        return Outcome(files, report_lines(results))
+    error = "invariant failure (see invariants.json)"
+    return Outcome(files, report_lines(results), error=error, code=EXIT_INVARIANT)
 
 
-def cmd_ldp_mc(args) -> int:
-    config, harness = _load(args)
+def cmd_ldp_mc(args, config, harness) -> Outcome:
+    if config.control is not None:
+        raise ConfigError(
+            "[control].file: ldp-mc estimates the uncontrolled law; a controlled "
+            "estimate would need Girsanov weights, which ldp-mc does not compute"
+        )
     settings = harness.ldp
-    if settings is None or not np.isfinite(settings.threshold):
+    if not np.isfinite(settings.threshold):
         raise ConfigError("[ldp].threshold: a finite threshold is required for ldp-mc")
     if config.noise is None:
         raise ConfigError("[noise].mode: ldp-mc needs an active [noise] section")
@@ -230,60 +250,48 @@ def cmd_ldp_mc(args) -> int:
             check(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    manifest = _manifest(harness)
     table = varadhan_gap(
-        config,
-        event,
-        settings.eps_list,
-        n_paths,
-        family=family,
-        master_seed=harness.seed,
-        n_jobs=settings.n_jobs,
+        config, event, settings.eps_list, n_paths, family, harness.seed, settings.n_jobs
     )
-    out = harness.out_dir / "varadhan.csv"
-    table.write_csv(out)
-    manifest.finished = _now()
-    manifest.add_file(out)
-    manifest.write(harness.out_dir / "manifest.json")
-    for row in table.rows:
-        _say(
-            harness,
-            f"eps={row.epsilon:g}: p_hat={row.p_hat:.4g} "
-            f"-eps*log(p)={row.neg_eps_log_p:.4g} best_cost={row.best_cost:.4g}",
-        )
-    return EXIT_OK
+    lines = [
+        f"eps={row.epsilon:g}: p_hat={row.p_hat:.4g} "
+        f"-eps*log(p)={row.neg_eps_log_p:.4g} best_cost={row.best_cost:.4g}"
+        for row in table.rows
+    ]
+    return Outcome({"varadhan.csv": table.write_csv}, lines)
 
 
-def cmd_mollify(args) -> int:
+def cmd_mollify(args, config, harness) -> Outcome:
     if args.input is None or args.epsilon is None:
         raise ConfigError("mollify needs --input SNAPSHOT and --epsilon VALUE")
-    out_dir = Path(args.out_dir) if args.out_dir else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     state = read_snapshot(args.input)
+    harness.config_bytes = Path(args.input).read_bytes()  # hashed in the manifest
     spec = MollifierSpec(args.epsilon)
     smoothed = State(state.t, mollify(state.u, spec), mollify(state.theta, spec))
-    out = out_dir / "state_mollified.bqsf"
-    write_snapshot(smoothed, out)
-    manifest = RunManifest(
-        config_hash=config_hash(Path(args.input).read_bytes()),
-        master_seed=0,
-        started=_now(),
-        finished=_now(),
-    )
-    manifest.add_file(out)
-    manifest.write(out_dir / "manifest.json")
-    if not args.quiet:
-        print(f"wrote {out}")
-    return EXIT_OK
+    out = harness.out_dir / "state_mollified.bqsf"
+    return Outcome({out.name: partial(write_snapshot, smoothed)}, [f"wrote {out}"])
 
 
+#: every flag's argparse settings; COMMANDS names the flags each command reads
+FLAGS = {
+    "config": dict(help="INI configuration file"),
+    "seed": dict(type=int, help="master seed override"),
+    "out-dir": dict(help="output directory override"),
+    "paths": dict(type=int, help="number of Monte Carlo paths"),
+    "control": dict(help="control CSV of rows t,mode,value"),
+    "quiet": dict(action="store_true", help="suppress progress chatter"),
+    "input": dict(help="input snapshot"),
+    "epsilon": dict(type=float, help="smoothing scale"),
+}
+
+#: subcommand -> (command(args, config, harness) -> Outcome, the flags it reads)
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "ensemble": cmd_ensemble,
-    "skeleton": cmd_skeleton,
-    "check-invariants": cmd_check_invariants,
-    "ldp-mc": cmd_ldp_mc,
-    "mollify": cmd_mollify,
+    "simulate": (cmd_simulate, "config seed out-dir control quiet"),
+    "ensemble": (cmd_ensemble, "config seed out-dir paths control quiet"),
+    "skeleton": (cmd_skeleton, "config out-dir control quiet"),
+    "check-invariants": (cmd_check_invariants, "config out-dir quiet"),
+    "ldp-mc": (cmd_ldp_mc, "config seed out-dir paths quiet"),
+    "mollify": (cmd_mollify, "input epsilon out-dir quiet"),
 }
 
 
@@ -293,34 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudo-spectral stochastic Boussinesq simulator on the torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="INI configuration file")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--out-dir", default=None, help="output directory override")
-        if name in ("ensemble", "ldp-mc"):
-            p.add_argument(
-                "--paths", type=int, default=None, help="number of Monte Carlo paths"
-            )
-        p.add_argument(
-            "--control", default=None, help="control CSV of rows t,mode,value"
-        )
-        p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
-        if name == "mollify":
-            p.add_argument("--input", default=None, help="input snapshot")
-            p.add_argument(
-                "--epsilon", type=float, default=None, help="smoothing scale"
-            )
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, _ = COMMANDS[args.command]
+    started = _now()
     try:
-        return COMMANDS[args.command](args)
+        config, harness = _load(args)
+        outcome = command(args, config, harness)
     except (ConfigError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return _write_outputs(outcome, harness, started)
 
 
 if __name__ == "__main__":

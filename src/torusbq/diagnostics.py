@@ -188,8 +188,12 @@ class StoppingRule:
         return values
 
     def fires(self, record: TrajectoryRecord) -> bool:
-        vals = self.running_values(record)
-        last = vals[-1]
+        """Whether the functional exceeds the threshold at the last row; a
+        custom functional is called once, on the live record."""
+        if self.kind == "custom":
+            last = self.functional(record)
+        else:
+            last = self.running_values(record)[-1]
         return bool(np.isfinite(last) and last > self.threshold)
 
     def describe(self) -> str:

@@ -109,7 +109,8 @@ class RareEvent:
     def needs_full_diagnostics(self) -> bool:
         return FUNCTIONALS[self.functional][1]
 
-    def realized(self, value: float) -> bool:
+    def realized(self, value):
+        """Whether F = value is in the event (elementwise; NaN never is)."""
         if self.direction == "ge":
             return value >= self.threshold
         return value <= self.threshold
@@ -173,16 +174,16 @@ def mc_rare_event(
         value = functional(run(cfg))
         p = 1.0 if event.realized(value) else 0.0
         return p, (p, p)
-    indicator = _EventIndicator(functional, event)
     summary = run_ensemble(
         cfg,
         n_paths,
         master_seed,
-        {"hit": indicator},
+        {event.functional: functional},
         n_jobs=n_jobs,
         full_diagnostics=event.needs_full_diagnostics,
     )
-    p = summary.mean["hit"]
+    # a blown-up path's NaN value realizes neither direction: a miss
+    p = np.count_nonzero(event.realized(summary.values[event.functional])) / n_paths
     if p == 0.0:
         return 0.0, (0.0, 3.0 / n_paths)
     if p == 1.0:
@@ -195,17 +196,6 @@ def check_n_paths(n_paths: int):
     """Raise ValueError if n_paths is too few for a rare-event estimate."""
     if n_paths < 100:
         raise ValueError(f"rare-event estimation needs n_paths >= 100, got {n_paths}")
-
-
-class _EventIndicator:
-    """Picklable indicator functional for ensemble workers."""
-
-    def __init__(self, functional, event):
-        self.functional = functional
-        self.event = event
-
-    def __call__(self, record) -> float:
-        return 1.0 if self.event.realized(self.functional(record)) else 0.0
 
 
 # -- cost minimisation over a control family ---------------------------------------

@@ -35,6 +35,7 @@ defect.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -536,10 +537,15 @@ def run(
     row) for every state reached.  Stopping rules (diagnostics.StoppingRule)
     are evaluated on the growing record, including the initial row; blow-up
     terminates the record instead of raising.  full_diagnostics=False keeps
-    only the norms the stepper needs, for large ensembles.
+    only the norms the stepper needs, for large ensembles; it refuses tau_R
+    and gamma_R rules, which read the columns it leaves out.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")
+    row_rules = [r.describe() for r in stopping_rules if r.kind in ("tau_R", "gamma_R")]
+    if row_rules and not full_diagnostics:
+        msg = "read full diagnostic rows, which light rows leave NaN"
+        raise ValueError(f"{', '.join(row_rules)} {msg}; pass full_diagnostics=True")
     state = initial_state if initial_state is not None else build_initial_state(config)
     state = _prepare_state(state, config)
 
@@ -644,19 +650,17 @@ def run_ensemble(
         raise ValueError("n_paths must be >= 1")
     all_paths = np.arange(n_paths)
     if n_jobs <= 1:
-        values = _ensemble_block(
-            (config, master_seed, all_paths, functionals, full_diagnostics)
-        )
-        return _reduce_summary(values, n_paths, master_seed)
+        blocks, pool = [all_paths], nullcontext()
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
-
-    blocks = np.array_split(all_paths, n_jobs * 4)
-    blocks = [b for b in blocks if len(b)]
+        blocks = [b for b in np.array_split(all_paths, n_jobs * 4) if len(b)]
+        pool = ProcessPoolExecutor(max_workers=n_jobs)
     tasks = [(config, master_seed, b, functionals, full_diagnostics) for b in blocks]
     values = {name: np.empty(n_paths) for name in functionals}
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for block, result in zip(blocks, pool.map(_ensemble_block, tasks)):
+    with pool as executor:
+        mapper = map if executor is None else executor.map
+        for block, result in zip(blocks, mapper(_ensemble_block, tasks)):
             for name in functionals:
                 values[name][block] = result[name]
     return _reduce_summary(values, n_paths, master_seed)

@@ -21,6 +21,7 @@ from torusbq.solver import (
     NoiseModel,
     SolverConfig,
     State,
+    TrajectoryRecord,
     run,
 )
 from torusbq.spectral import (
@@ -227,6 +228,32 @@ class TestStopping:
             "custom", 0.5, functional=lambda r: 1.0 - r.rows[-1].l2_u / r.rows[0].l2_u
         )
         assert check_stopping(rec, rule) is None
+
+    def test_custom_rule_one_call_per_row(self, grid):
+        calls = []
+
+        def decay(record):
+            calls.append(len(record.rows))
+            return 1.0 - record.rows[-1].l2_u / record.rows[0].l2_u
+
+        # shear decays like e^{-t}: the decay fraction crosses 0.05 near t = 0.05
+        cfg = SolverConfig(
+            grid=grid, dt=0.01, t_end=0.1, init=InitialCondition(velocity="shear")
+        )
+        never = StoppingRule("custom", 2.0, functional=decay)
+        rec = run(cfg, stopping_rules=[never])
+        assert len(rec.rows) == cfg.n_steps + 1
+        assert calls == list(range(1, cfg.n_steps + 2))  # N + 1 calls, live record
+
+        rule = StoppingRule("custom", 0.05, functional=decay)
+        fired = [
+            rule.fires(TrajectoryRecord(dt=rec.dt, rows=rec.rows[: i + 1]))
+            for i in range(len(rec.rows))
+        ]
+        assert fired == list(rule.running_values(rec) > rule.threshold)
+        first = rec.rows[fired.index(True)].t
+        assert 0.0 < first < 0.1
+        assert first == check_stopping(rec, rule)
 
     def test_validation(self):
         with pytest.raises(ValueError):

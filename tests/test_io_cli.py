@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusbq.cli import main
+from torusbq.cli import COMMANDS, main
 from torusbq.io import (
     ConfigError,
     SnapshotError,
@@ -402,6 +402,7 @@ quiet = true
         cfg = write_config(tmp_path, "\n".join(lines))
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         assert f"error: [ldp].{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "ldp").exists()
 
     @pytest.mark.parametrize(
         "command, text, paths",
@@ -411,6 +412,7 @@ quiet = true
         cfg = write_config(tmp_path, text.format(out=tmp_path / "out"))
         assert main([command, "--config", str(cfg), "--paths", paths]) == 1
         assert "error: --paths: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_paths_only_where_read(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
@@ -426,3 +428,75 @@ quiet = true
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         assert "error: [noise].mode: " in capsys.readouterr().err
 
+    def test_ldp_mc_refuses_control(self, tmp_path, capsys):
+        control = tmp_path / "control.csv"
+        control.write_text("t,mode,value\n0.0,0,0.8\n")
+        text = LDP_CONFIG.format(out=tmp_path / "ldp")
+        cfg = write_config(tmp_path, text + f"\n[control]\nfile = {control}\n")
+        assert main(["ldp-mc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [control].file: ") and "Girsanov" in err
+        assert not (tmp_path / "ldp").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("mollify", "--config", "run.ini"),
+            ("mollify", "--seed", "1"),
+            ("mollify", "--control", "control.csv"),
+            ("check-invariants", "--seed", "1"),
+            ("check-invariants", "--control", "control.csv"),
+            ("skeleton", "--seed", "1"),
+            ("ldp-mc", "--control", "control.csv"),
+        ],
+    )
+    def test_unread_flag_refused(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        if command == "mollify":
+            argv = ["mollify", "--input", "in.bqsf", "--epsilon", "1"]
+        else:
+            text = LDP_CONFIG if command == "ldp-mc" else SIM_CONFIG
+            cfg = write_config(tmp_path, text.format(out=out))
+            argv = [command, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _command_argv(command, tmp_path, out):
+    """Arguments running `command` on a small input, output to `out`."""
+    if command == "mollify":
+        snap = tmp_path / "in.bqsf"
+        g = Grid(2, 8)
+        write_snapshot(
+            State(0.0, SpectralVectorField.zero(g), SpectralScalarField.zero(g)), snap
+        )
+        return ["mollify", "--input", str(snap), "--epsilon", "0.5", "--out-dir", str(out)]
+    text = LDP_CONFIG if command == "ldp-mc" else SIM_CONFIG
+    cfg = write_config(tmp_path, text.format(out=out))
+    argv = [command, "--config", str(cfg)]
+    return argv + (["--paths", "3"] if command == "ensemble" else [])
+
+
+#: the files each command writes next to manifest.json
+COMMAND_FILES = {
+    "simulate": {"timeseries.csv", "state_final.bqsf"},
+    "skeleton": {"timeseries.csv", "state_final.bqsf"},
+    "ensemble": {"ensemble_paths.csv", "ensemble_summary.json"},
+    "check-invariants": {"invariants.json"},
+    "ldp-mc": {"varadhan.csv"},
+    "mollify": {"state_mollified.bqsf"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_lists_every_file(tmp_path, command):
+    out = tmp_path / "out"
+    assert main(_command_argv(command, tmp_path, out) + ["--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert written == set(manifest["files"]) == COMMAND_FILES[command]
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

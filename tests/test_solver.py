@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusbq.diagnostics import StoppingRule
 from torusbq.forcing import (
     QWienerSpec,
     RandomStream,
@@ -319,6 +320,20 @@ class TestRunBookkeeping:
         assert rec.blown_up
         assert rec.stop_reason.startswith("blow_up:")
         assert rec.rows[-1].stop_flag == 1
+
+    @pytest.mark.parametrize("kind", ["tau_R", "gamma_R"])
+    def test_light_rows_refuse_row_rules(self, kind):
+        # tau_R(0.5) stops this run on its initial row when rows are full
+        cfg = base_config(
+            n=8, dt=0.01, t_end=0.05, init=InitialCondition(velocity="taylor_green")
+        )
+        rule = StoppingRule(kind, 0.5)
+        with pytest.raises(ValueError, match=kind):
+            run(cfg, stopping_rules=[rule], full_diagnostics=False)
+        assert run(cfg, stopping_rules=[rule]).stop_reason == rule.describe()
+        custom = StoppingRule("custom", 0.5, functional=lambda r: r.rows[-1].l2_u)
+        rec = run(cfg, stopping_rules=[custom], full_diagnostics=False)
+        assert rec.stop_reason == custom.describe()
 
     def test_energy_residual_shear(self):
         dt = 0.01
