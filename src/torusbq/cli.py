@@ -14,9 +14,9 @@ noise-free controlled system; check-invariants runs the property battery,
 ldp-mc tabulates small-noise rare events of the uncontrolled law and mollify
 smooths a snapshot.  --seed, --out-dir and --quiet override [output].seed,
 .directory and .quiet; --control replaces [control].file.  A command validates
-and computes before its output directory is created, then its files are
-written next to a manifest.json of their sha256 digests.  Exit codes:
-0 success, 1 validation error (nothing written), 2 numerical blow-up
+and computes before its output directory is created; io then writes its files
+and a manifest.json of their sha256 digests and the seed (null without --seed).
+Exit codes: 0 success, 1 validation error (nothing written), 2 numerical blow-up
 detected, 3 invariant failure.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -44,6 +43,8 @@ from .io import (
     parse_config,
     read_control_csv,
     read_snapshot,
+    write_csv,
+    write_json,
     write_snapshot,
     write_timeseries,
 )
@@ -77,22 +78,19 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load(args):
     """(config, harness) with the flag overrides; mollify, which reads a
-    snapshot, gets no config and the default harness (cwd, seed 0)."""
+    snapshot, gets no config and the default harness (cwd).  The seed is None
+    for a command that takes no --seed: it draws nothing from one."""
     if "config" not in vars(args):
         config, harness = None, HarnessSettings(out_dir=Path("."))
     elif not args.config:
         raise ConfigError("--config is required for this command")
     else:
         config, harness = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if "seed" not in vars(args):
+        harness.seed = None
+    elif args.seed is not None:
         harness.seed = args.seed
     if args.out_dir is not None:
         harness.out_dir = Path(args.out_dir)
@@ -170,16 +168,6 @@ def cmd_ensemble(args, config, harness) -> Outcome:
         config, n_paths, harness.seed, functionals, full_diagnostics=False
     )
 
-    def write_paths(path):
-        with open(path, "w") as fh:
-            fh.write("path," + ",".join(_ENSEMBLE_FUNCTIONALS) + "\n")
-            for p in range(n_paths):
-                vals = ",".join(
-                    format(summary.values[name][p], ".17g")
-                    for name in _ENSEMBLE_FUNCTIONALS
-                )
-                fh.write(f"{p},{vals}\n")
-
     blown = int(np.sum(~np.isfinite(summary.values[_ENSEMBLE_FUNCTIONALS[0]])))
     report = {
         "n_paths": n_paths,
@@ -189,9 +177,11 @@ def cmd_ensemble(args, config, harness) -> Outcome:
         "variance": summary.variance,
         "max": summary.max,
     }
+    header = ("path",) + _ENSEMBLE_FUNCTIONALS
+    rows = list(zip(range(n_paths), *(summary.values[n] for n in header[1:])))
     files = {
-        "ensemble_paths.csv": write_paths,
-        "ensemble_summary.json": partial(_write_json, report),
+        "ensemble_paths.csv": partial(write_csv, header, rows),
+        "ensemble_summary.json": partial(write_json, report),
     }
     if blown:
         error = f"{blown}/{n_paths} paths blew up"
@@ -202,7 +192,7 @@ def cmd_ensemble(args, config, harness) -> Outcome:
 
 def cmd_check_invariants(args, config, harness) -> Outcome:
     results = run_invariant_battery(config)
-    files = {"invariants.json": partial(_write_json, as_json(results))}
+    files = {"invariants.json": partial(write_json, as_json(results))}
     if all(r.passed for r in results):
         return Outcome(files, report_lines(results))
     error = "invariant failure (see invariants.json)"
@@ -266,7 +256,10 @@ def cmd_mollify(args, config, harness) -> Outcome:
         raise ConfigError("mollify needs --input SNAPSHOT and --epsilon VALUE")
     state = read_snapshot(args.input)
     harness.config_bytes = Path(args.input).read_bytes()  # hashed in the manifest
-    spec = MollifierSpec(args.epsilon)
+    try:
+        spec = MollifierSpec(args.epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"--epsilon: {exc}") from None
     smoothed = State(state.t, mollify(state.u, spec), mollify(state.theta, spec))
     out = harness.out_dir / "state_mollified.bqsf"
     return Outcome({out.name: partial(write_snapshot, smoothed)}, [f"wrote {out}"])

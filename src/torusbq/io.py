@@ -1,11 +1,14 @@
-"""Configuration files, binary field snapshots, CSV time series, manifests.
+"""Every file format a run reads or writes, each encoded in one place.
 
 The run configuration is one INI-style file with sections [domain], [physics],
 [time], [noise], [control], [output] and [ldp]; every key is validated and
-unknown keys are errors (see DEFAULTS for the full schema).  Snapshots are a
-fixed little-endian binary layout ("BQSF" magic) holding the real-space
-samples of every field, and time series are CSV with 17 significant digits,
-so identical configurations and seeds reproduce byte-identical outputs.
+unknown keys are errors (see DEFAULTS for the full schema).  Controls are CSV
+rows (t, mode, value).  Snapshots are a fixed little-endian binary layout, one
+header ("BQSF" magic, see _snapshot_header) and then the real-space samples of
+every field.  write_csv encodes every output CSV (timeseries.csv,
+ensemble_paths.csv, varadhan.csv) with 17 significant digits and write_json
+every JSON output (manifest.json, ensemble_summary.json, invariants.json), so
+identical configurations and seeds reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class HarnessSettings:
     write_timeseries: bool = True
     snapshot_final: bool = True
     quiet: bool = False
-    seed: int = 0
+    seed: Optional[int] = 0
     ldp: Optional[LdpSettings] = None
     config_bytes: bytes = b""
 
@@ -363,92 +366,104 @@ def parse_config(path) -> tuple:
 
 # -- snapshots ---------------------------------------------------------------------
 
+#: magic, version and dimension, read first to learn the rest of the header
+_HEADER_PREFIX = struct.Struct("<4sII")
+
+
+def _snapshot_header(dimension: int) -> struct.Struct:
+    """The prefix, then each axis' resolution, the time and the field count."""
+    return struct.Struct(f"{_HEADER_PREFIX.format}{dimension}IdI")
+
+
+def _unpack(header: struct.Struct, raw: bytes, path) -> tuple:
+    if len(raw) < header.size:
+        raise SnapshotError(
+            f"{path}: truncated header ({len(raw)} < {header.size} bytes)"
+        )
+    return header.unpack_from(raw)
+
 
 def write_snapshot(state: State, path):
-    """Fixed binary layout: magic, version, dimension, per-axis resolution,
-    time, field count, then each field's samples row-major as little-endian
+    """The header, then each field's samples row-major as little-endian
     doubles (velocity components first, temperature last)."""
     grid = state.u.grid
     d = grid.dimension
     fields = list(state.u.samples) + [state.theta.samples]
+    header = _snapshot_header(d).pack(
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, d, *([grid.n] * d), state.t, len(fields)
+    )
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<I", d))
-        fh.write(struct.pack(f"<{d}I", *([grid.n] * d)))
-        fh.write(struct.pack("<d", state.t))
-        fh.write(struct.pack("<I", len(fields)))
+        fh.write(header)
         for samples in fields:
             fh.write(np.ascontiguousarray(samples, dtype="<f8").tobytes())
 
 
 def read_snapshot(path, expect_grid: Optional[Grid] = None) -> State:
     """Inverse of write_snapshot; read . write is the identity on samples."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise SnapshotError(f"snapshot file not found: {path}") from None
     if raw[:4] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"{path}: bad magic {raw[:4]!r}")
-    off = 4
-    version, dim = struct.unpack_from("<II", raw, off)
-    off += 8
+    _, version, dim = _unpack(_HEADER_PREFIX, raw, path)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"{path}: unsupported version {version}")
     if dim not in (2, 3):
         raise SnapshotError(f"{path}: bad dimension {dim}")
-    res = struct.unpack_from(f"<{dim}I", raw, off)
-    off += 4 * dim
+    header = _snapshot_header(dim)
+    _, _, _, *res, t, n_fields = _unpack(header, raw, path)
     if len(set(res)) != 1:
         raise SnapshotError(f"{path}: anisotropic resolution {res}")
-    (t,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    (n_fields,) = struct.unpack_from("<I", raw, off)
-    off += 4
     if n_fields != dim + 1:
         raise SnapshotError(f"{path}: expected {dim + 1} fields, found {n_fields}")
-    grid = Grid(dim, res[0])
+    try:
+        grid = Grid(dim, res[0])
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from None
     if expect_grid is not None and grid != expect_grid:
         raise SnapshotError(
             f"{path}: snapshot grid {grid} does not match expected {expect_grid}"
         )
-    count = grid.n**dim
-    need = off + n_fields * count * 8
+    count = n_fields * grid.n**dim
+    need = header.size + count * 8
     if len(raw) < need:
         raise SnapshotError(f"{path}: truncated payload ({len(raw)} < {need} bytes)")
-    fields = []
-    for _ in range(n_fields):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(
-            grid.shape
-        )
-        fields.append(arr.astype(np.float64))
-        off += count * 8
-    u = SpectralVectorField.from_samples(grid, *fields[:dim])
-    theta = SpectralScalarField.from_samples(grid, fields[dim])
-    return State(t, u, theta)
+    stack = np.frombuffer(raw, dtype="<f8", count=count, offset=header.size)
+    stack = stack.astype(np.float64).reshape((n_fields,) + grid.shape)
+    u = SpectralVectorField.from_sample_stack(grid, stack[:dim])
+    return State(t, u, SpectralScalarField.from_samples(grid, stack[dim]))
 
 
 def snapshot_size(dimension: int, n: int) -> int:
     """Exact byte size of a snapshot at the given resolution."""
-    header = 4 + 4 + 4 + 4 * dimension + 8 + 4
-    return header + (dimension + 1) * n**dimension * 8
+    return _snapshot_header(dimension).size + (dimension + 1) * n**dimension * 8
 
 
-# -- time series --------------------------------------------------------------------
+# -- CSV and JSON -----------------------------------------------------------------
+
+
+def write_csv(header, rows, path):
+    """CSV of the header and then the rows, CRLF line ends, every value at 17
+    significant digits (so an integer below 10**17 prints as itself)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(float(v), ".17g") for v in row] for row in rows)
+
+
+def write_json(obj, path):
+    """JSON with a two-space indent and sorted keys, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_timeseries(record: TrajectoryRecord, path):
-    """CSV with the pinned column set, 17 significant digits per value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in record.rows:
-            out = []
-            for name in CSV_COLUMNS:
-                value = getattr(row, name)
-                if name == "stop_flag":
-                    out.append(str(int(value)))
-                else:
-                    out.append(format(float(value), ".17g"))
-            writer.writerow(out)
+    """The pinned CSV_COLUMNS of every diagnostic row."""
+    rows = ([getattr(row, name) for name in CSV_COLUMNS] for row in record.rows)
+    write_csv(CSV_COLUMNS, rows, path)
 
 
 # -- manifests ----------------------------------------------------------------------
@@ -459,7 +474,7 @@ class RunManifest:
     """Provenance for one invocation; every output file gets a checksum."""
 
     config_hash: str
-    master_seed: int
+    master_seed: Optional[int]
     code_version: str = __version__
     started: str = ""
     finished: str = ""
@@ -472,9 +487,7 @@ class RunManifest:
         self.files[path.name] = digest
 
     def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(dataclasses.asdict(self), path)
 
 
 def config_hash(config_bytes: bytes) -> str:

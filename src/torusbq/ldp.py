@@ -14,7 +14,6 @@ the skeleton.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -24,6 +23,7 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from .forcing import QWienerSpec
+from .io import write_csv
 from .solver import (
     Control,
     SolverConfig,
@@ -47,6 +47,8 @@ class _TerminalModeAmplitude:
         self.grid = base.grid
 
     def __call__(self, record: TrajectoryRecord) -> float:
+        if record.blown_up:  # final_state is the last finite state, not u(T)
+            return np.nan
         c = record.final_state.u.coefficients
         return parseval_inner(self.grid, self.base_coeffs, c) / self.norm_sq
 
@@ -349,6 +351,12 @@ def _feasibility_scaling(params, trajectory_value, event, box_bound):
 # -- Varadhan tables ----------------------------------------------------------------
 
 
+#: varadhan.csv's header, one column per VaradhanRow value (ci as two)
+VARADHAN_COLUMNS = tuple(
+    "epsilon n_paths p_hat ci_low ci_high neg_eps_log_p best_cost".split()
+)
+
+
 @dataclass
 class VaradhanRow:
     epsilon: float
@@ -375,31 +383,11 @@ class VaradhanTable:
         return np.diff(vals)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "epsilon",
-                    "n_paths",
-                    "p_hat",
-                    "ci_low",
-                    "ci_high",
-                    "neg_eps_log_p",
-                    "best_cost",
-                ]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        format(r.epsilon, ".17g"),
-                        r.n_paths,
-                        format(r.p_hat, ".17g"),
-                        format(r.ci[0], ".17g"),
-                        format(r.ci[1], ".17g"),
-                        format(r.neg_eps_log_p, ".17g"),
-                        format(r.best_cost, ".17g"),
-                    ]
-                )
+        rows = (
+            [r.epsilon, r.n_paths, r.p_hat, *r.ci, r.neg_eps_log_p, r.best_cost]
+            for r in self.rows
+        )
+        write_csv(VARADHAN_COLUMNS, rows, path)
 
 
 def check_eps_list(eps: list):

@@ -1,5 +1,6 @@
 import json
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,27 @@ class TestSnapshots:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(SnapshotError, match="magic"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("length", [6, 14, 31])
+    def test_truncated_header(self, tmp_path, length):
+        path = tmp_path / "state.bqsf"
+        write_snapshot(self.make_state(), path)
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(SnapshotError, match=f"truncated header \\({length} < "):
+            read_snapshot(path)
+
+    def test_bad_resolution(self, tmp_path):
+        path = tmp_path / "state.bqsf"
+        write_snapshot(self.make_state(), path)
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<2I", 6, 6)  # the two axis resolutions
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="power of two"):
+            read_snapshot(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(SnapshotError, match="snapshot file not found"):
+            read_snapshot(tmp_path / "nope.bqsf")
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "state.bqsf"
@@ -367,6 +389,31 @@ quiet = true
         expect = np.exp(-1.0) * np.sin(grid.x_mesh[0])
         assert np.max(np.abs(smoothed.theta.samples - expect)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing", "error: snapshot file not found: "),
+            ("short_header", "truncated header (14 < 32 bytes)"),
+            ("negative_epsilon", "error: --epsilon: epsilon must be positive"),
+        ],
+        ids=["missing", "short_header", "negative_epsilon"],
+    )
+    def test_mollify_bad_input_exit_one(self, tmp_path, capsys, case, message):
+        snap = tmp_path / "in.bqsf"
+        if case == "short_header":
+            snap.write_bytes(b"BQSF" + bytes([1, 0, 0, 0, 2, 0, 0, 0, 16, 0]))
+        elif case == "negative_epsilon":
+            g = Grid(2, 8)
+            zero = State(0.0, SpectralVectorField.zero(g), SpectralScalarField.zero(g))
+            write_snapshot(zero, snap)
+        epsilon = "-1" if case == "negative_epsilon" else "0.3"
+        out = tmp_path / "out"
+        argv = ["mollify", "--input", str(snap), "--epsilon", epsilon]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_ldp_mc_outputs(self, tmp_path):
         out = tmp_path / "ldp"
         cfg = write_config(tmp_path, LDP_CONFIG.format(out=out))
@@ -465,17 +512,17 @@ quiet = true
         assert not out.exists()
 
 
-def _command_argv(command, tmp_path, out):
-    """Arguments running `command` on a small input, output to `out`."""
+def _command_argv(command, tmp_path):
+    """Arguments running `command` on a small input (add --out-dir)."""
     if command == "mollify":
         snap = tmp_path / "in.bqsf"
         g = Grid(2, 8)
         write_snapshot(
             State(0.0, SpectralVectorField.zero(g), SpectralScalarField.zero(g)), snap
         )
-        return ["mollify", "--input", str(snap), "--epsilon", "0.5", "--out-dir", str(out)]
+        return ["mollify", "--input", str(snap), "--epsilon", "0.5"]
     text = LDP_CONFIG if command == "ldp-mc" else SIM_CONFIG
-    cfg = write_config(tmp_path, text.format(out=out))
+    cfg = write_config(tmp_path, text.format(out=tmp_path / "unused"), f"{command}.ini")
     argv = [command, "--config", str(cfg)]
     return argv + (["--paths", "3"] if command == "ensemble" else [])
 
@@ -490,13 +537,87 @@ COMMAND_FILES = {
     "mollify": {"state_mollified.bqsf"},
 }
 
+#: the commands that take --seed, so that their manifest names one
+SEEDED = {"simulate", "ensemble", "ldp-mc"}
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    """command -> two output directories, each from one run of the command."""
+    root = tmp_path_factory.mktemp("runs")
+    runs = {}
+    for command in COMMANDS:
+        argv = _command_argv(command, root) + ["--quiet"]
+        runs[command] = (root / f"{command}-a", root / f"{command}-b")
+        for out in runs[command]:
+            assert main(argv + ["--out-dir", str(out)]) == 0
+    return runs
+
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_manifest_lists_every_file(tmp_path, command):
-    out = tmp_path / "out"
-    assert main(_command_argv(command, tmp_path, out) + ["--quiet"]) == 0
+def test_manifest_lists_every_file(command_runs, command):
+    out = command_runs[command][0]
     manifest = json.loads((out / "manifest.json").read_text())
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert written == set(manifest["files"]) == COMMAND_FILES[command]
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert manifest["master_seed"] == (0 if command in SEEDED else None)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_rerun_reproduces_every_file(command_runs, command):
+    runs = first, second = command_runs[command]
+    for name in COMMAND_FILES[command]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in runs]
+    for manifest in manifests:
+        del manifest["started"], manifest["finished"]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize(
+    "command, name, header",
+    [
+        (
+            "simulate",
+            "timeseries.csv",
+            "t,l2_u,hs_u,hs1_u,hs_theta,linf_grad_u,linf_grad_theta,linf_theta,"
+            "l2_w,l4_grad_w,phi_value,energy_residual,stop_flag",
+        ),
+        (
+            "ensemble",
+            "ensemble_paths.csv",
+            "path,terminal_l2_u,sup_l2_u,terminal_l2_theta",
+        ),
+        (
+            "ldp-mc",
+            "varadhan.csv",
+            "epsilon,n_paths,p_hat,ci_low,ci_high,neg_eps_log_p,best_cost",
+        ),
+    ],
+    ids=["timeseries", "ensemble_paths", "varadhan"],
+)
+def test_csv_output_format(command_runs, command, name, header):
+    text = (command_runs[command][0] / name).read_bytes().decode()
+    assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")
+    lines = text.split("\r\n")[:-1]
+    assert lines[0] == header
+    assert len(lines) > 1
+    for line in lines[1:]:
+        values = line.split(",")
+        assert len(values) == len(header.split(","))
+        assert [format(float(v), ".17g") for v in values] == values
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("ensemble", "ensemble_summary.json"),
+        ("check-invariants", "invariants.json"),
+        ("simulate", "manifest.json"),
+    ],
+)
+def test_json_output_format(command_runs, command, name):
+    text = (command_runs[command][0] / name).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

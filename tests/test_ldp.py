@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from torusbq.forcing import QWienerSpec, RandomStream, additive_intensity
+from torusbq.forcing import (
+    QWienerSpec,
+    RandomStream,
+    additive_intensity,
+    default_mode_fields,
+    default_qwiener,
+)
 from torusbq.ldp import (
     ControlFamily,
     RareEvent,
@@ -20,6 +26,7 @@ from torusbq.solver import (
     run,
 )
 from torusbq.spectral import Grid, SpectralVectorField, lp_norm
+from torusbq.transport import AdvectionScheme
 
 
 def toy_config(n=8, dt=0.0125, t_end=0.25, cutoff_R=1e-12, **kw):
@@ -190,6 +197,21 @@ class TestMcRareEvent:
         serial = mc_rare_event(cfg, event, 0.04, 100, 3)
         assert 0.0 < serial[0] < 1.0
         assert mc_rare_event(cfg, event, 0.04, 100, 3, n_jobs=2) == serial
+
+    def test_blown_up_paths_miss(self):
+        # every path blows up in the temperature; the threshold is below any
+        # finite value, so only scoring the last finite state would hit it
+        grid = Grid(2, 16)
+        spec = default_qwiener(2, 2)
+        noise = NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec)))
+        init = InitialCondition("taylor_green", 8.0, "random", 5.0)
+        scheme = AdvectionScheme("spectral_rk2")
+        cfg = SolverConfig(grid, 0.5, 5.0, noise=noise, scheme=scheme, init=init)
+        event = RareEvent("terminal_mode_amplitude", -1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert mc_rare_event(cfg, event, 0.01, 100, 0)[0] == 0.0
+            skeleton = solve_skeleton(cfg, Control.zero(2))
+        assert skeleton.blown_up and np.isnan(event.build(cfg)(skeleton))
 
     def test_rule_of_three_on_zero(self):
         cfg = toy_config()
