@@ -209,8 +209,7 @@ def run_invariant_battery(config: SolverConfig) -> list:
 
     if config.noise is not None:
         forced = apply_noise(
-            config.noise.intensity,
-            config.noise.spec,
+            config.noise,
             _random_vector(grid, 707, kmax=grid.n // 4),
             theta,
             sample_increment(config.noise.spec, 0.1, RandomStream(9), 0),

@@ -13,7 +13,8 @@ simulate runs one path, ensemble many plus a summary and skeleton the
 noise-free controlled system; check-invariants runs the property battery,
 ldp-mc tabulates small-noise rare events of the uncontrolled law and mollify
 smooths a snapshot.  --seed, --out-dir and --quiet override [output].seed,
-.directory and .quiet; --control replaces [control].file.  A command validates
+.directory and .quiet; --control supplies [control].file before validation, so
+it is validated, and its errors named, as that key.  A command validates
 and computes before its output directory is created; io then writes its files
 and a manifest.json of their sha256 digests and the seed (null without --seed).
 Exit codes: 0 success, 1 validation error (nothing written), 2 numerical blow-up
@@ -39,9 +40,9 @@ from .io import (
     HarnessSettings,
     RunManifest,
     SnapshotError,
+    config_error,
     config_hash,
     parse_config,
-    read_control_csv,
     read_snapshot,
     write_csv,
     write_json,
@@ -87,7 +88,7 @@ def _load(args):
     elif not args.config:
         raise ConfigError("--config is required for this command")
     else:
-        config, harness = parse_config(args.config)
+        config, harness = parse_config(args.config, getattr(args, "control", None))
     if "seed" not in vars(args):
         harness.seed = None
     elif args.seed is not None:
@@ -96,11 +97,6 @@ def _load(args):
         harness.out_dir = Path(args.out_dir)
     if args.quiet:
         harness.quiet = True
-    if getattr(args, "control", None):
-        if config.noise is None:
-            raise ConfigError("--control needs an active [noise] section")
-        control = read_control_csv(args.control, config.noise.spec.truncation)
-        config = dataclasses.replace(config, control=control)
     return config, harness
 
 
@@ -212,34 +208,19 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
         raise ConfigError("[noise].mode: ldp-mc needs an active [noise] section")
     params = {}
     if settings.functional == "terminal_mode_amplitude":
-        n_modes = config.noise.spec.truncation
-        if not 0 <= settings.mode_index < n_modes:
-            raise ConfigError(
-                f"[ldp].mode_index: {settings.mode_index} outside [0, {n_modes})"
-            )
         params["mode_index"] = settings.mode_index
+    n_paths = args.paths if args.paths is not None else settings.n_paths
     try:
         event = RareEvent(
             settings.functional, settings.threshold, settings.direction, params
         )
-    except ValueError as exc:
-        key = "direction" if str(exc).startswith("direction") else "functional"
-        raise ConfigError(f"[ldp].{key}: {exc}") from None
-    try:
+        event.build(config)  # the functional checks its own parameters
         family = ControlFamily(settings.family_blocks, settings.box_bound)
+        check_n_paths(n_paths)
+        check_eps_list(settings.eps_list)
     except ValueError as exc:
-        key = "box_bound" if str(exc).startswith("box") else "family_blocks"
-        raise ConfigError(f"[ldp].{key}: {exc}") from None
-    n_paths = args.paths if args.paths is not None else settings.n_paths
-    paths_key = "--paths" if args.paths is not None else "[ldp].n_paths"
-    for key, check, value in (
-        (paths_key, check_n_paths, n_paths),
-        ("[ldp].eps_list", check_eps_list, settings.eps_list),
-    ):
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+        flags = {"[ldp].n_paths": "--paths"} if args.paths is not None else None
+        raise config_error(exc, flags) from None
     table = varadhan_gap(
         config, event, settings.eps_list, n_paths, family, harness.seed, settings.n_jobs
     )

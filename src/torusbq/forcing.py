@@ -6,6 +6,9 @@ each basis mode to a velocity-space vector field: a fixed divergence-free
 family in additive mode, or an affine diagonal Nemytskii envelope
 (a0 + a1 u_i + a2 theta) times the same family in multiplicative mode.
 
+The one forcing object is a NoiseModel, which checks once that spectrum and
+intensity retain the same modes; every forcing call takes the model.
+
 Streams are counter-based (Philox) and keyed by (master seed, path index,
 step index), so ensembles are reproducible in any evaluation order; each
 stream reuses one generator, resetting its counter per step.
@@ -127,11 +130,11 @@ def default_qwiener(
     Each wavenumber in the canonical half-space contributes a cos and a sin
     mode; the mean mode (k = 0) appears once, with eigenvalue lambda0.
     """
-    if n_modes < 0:
-        raise ValueError("n_modes must be nonnegative")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     modes = []
     lams = []
-    if include_mean and n_modes > 0:
+    if include_mean:
         modes.append(((0,) * dimension, "cos"))
         lams.append(lambda0)
     ks = _half_space_wavenumbers(dimension, n_modes)
@@ -257,52 +260,56 @@ def multiplicative_intensity(
     )
 
 
-def _check_counts(f: NoiseIntensity, spec: QWienerSpec):
-    if f.n_fields != spec.truncation:
-        raise ValueError(
-            f"intensity carries {f.n_fields} fields but spec retains "
-            f"{spec.truncation} modes"
-        )
+@dataclass
+class NoiseModel:
+    """Covariance spectrum plus the intensity mapping its modes to force
+    fields; the mode counts are checked here, once, and sqrt(lambda_k) kept."""
+
+    spec: QWienerSpec
+    intensity: NoiseIntensity
+    sqrt_eigenvalues: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.intensity.n_fields != self.spec.truncation:
+            raise ValueError(
+                f"intensity carries {self.intensity.n_fields} fields but spec "
+                f"retains {self.spec.truncation} modes"
+            )
+        self.sqrt_eigenvalues = np.sqrt(self.spec.eigenvalues)
 
 
-def weighted_sum(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, weights
-) -> SpectralVectorField:
+def weighted_sum(noise: NoiseModel, u, theta, weights) -> SpectralVectorField:
     """Leray projection of sum_k sqrt(lambda_k) weights_k f(u, theta) e_k.
 
     The common core of the stochastic forcing (weights = Brownian increments)
     and the control drift (weights = control coordinates in H0).
     """
-    _check_counts(f, spec)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (spec.truncation,):
+    if weights.shape != noise.sqrt_eigenvalues.shape:
         raise ValueError("one weight per retained mode required")
-    stack = f.mode_samples(u, theta)
-    w = np.sqrt(spec.eigenvalues) * weights
-    summed = np.einsum("m,md...->d...", w, stack)
-    return leray_project(SpectralVectorField.from_sample_stack(f.grid, summed))
+    stack = noise.intensity.mode_samples(u, theta)
+    summed = np.einsum("m,md...->d...", noise.sqrt_eigenvalues * weights, stack)
+    grid = noise.intensity.grid
+    return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
 
 
-def apply_noise(
-    f: NoiseIntensity, spec: QWienerSpec, u, theta, inc: np.ndarray
-) -> SpectralVectorField:
+def apply_noise(noise: NoiseModel, u, theta, inc: np.ndarray) -> SpectralVectorField:
     """P sum_k sqrt(lambda_k) f(u, theta) e_k dW_k with dW = inc; divergence-free."""
-    return weighted_sum(f, spec, u, theta, inc)
+    return weighted_sum(noise, u, theta, inc)
 
 
-def hs_norm(f: NoiseIntensity, spec: QWienerSpec, u, theta, s: int) -> float:
+def hs_norm(noise: NoiseModel, u, theta, s: int) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2)."""
-    _check_counts(f, spec)
     total = 0.0
-    for lam, fe in zip(spec.eigenvalues, f.mode_fields(u, theta)):
+    fields = noise.intensity.mode_fields(u, theta)
+    for lam, fe in zip(noise.spec.eigenvalues, fields):
         if lam != 0.0:
             total += lam * sobolev_norm(leray_project(fe), s) ** 2
     return float(np.sqrt(total))
 
 
 def ito_isometry_estimate(
-    f: NoiseIntensity,
-    spec: QWienerSpec,
+    noise: NoiseModel,
     u,
     theta,
     dt: float,
@@ -318,14 +325,14 @@ def ito_isometry_estimate(
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
-    rhs = n_steps * dt * hs_norm(f, spec, u, theta, 0) ** 2
+    rhs = n_steps * dt * hs_norm(noise, u, theta, 0) ** 2
     acc = np.zeros(n_paths)
     for p in range(n_paths):
         sp = stream.for_path(p)
-        total = np.zeros(spec.truncation)
+        total = np.zeros(noise.spec.truncation)
         for j in range(n_steps):
-            total += sample_increment(spec, dt, sp, j)
-        summed = weighted_sum(f, spec, u, theta, total)
+            total += sample_increment(noise.spec, dt, sp, j)
+        summed = weighted_sum(noise, u, theta, total)
         acc[p] = sobolev_norm(summed, 0) ** 2
     lhs = float(np.sum(acc) / n_paths)
     if rhs == 0.0:

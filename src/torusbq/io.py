@@ -1,14 +1,17 @@
 """Every file format a run reads or writes, each encoded in one place.
 
 The run configuration is one INI-style file with sections [domain], [physics],
-[time], [noise], [control], [output] and [ldp]; every key is validated and
-unknown keys are errors (see DEFAULTS for the full schema).  Controls are CSV
-rows (t, mode, value).  Snapshots are a fixed little-endian binary layout, one
+[time], [noise], [control], [output] and [ldp]; unknown keys are errors (see
+DEFAULTS for the full schema).  Each value is checked once, by the constructor
+of the object that holds it, and CONFIG_KEYS names the INI key of every
+configuration error those constructors raise.  Controls are CSV rows
+(t, mode, value).  Snapshots are a fixed little-endian binary layout, one
 header ("BQSF" magic, see _snapshot_header) and then the real-space samples of
 every field.  write_csv encodes every output CSV (timeseries.csv,
 ensemble_paths.csv, varadhan.csv) with 17 significant digits and write_json
-every JSON output (manifest.json, ensemble_summary.json, invariants.json), so
-identical configurations and seeds reproduce byte-identical outputs.
+every JSON output (manifest.json, ensemble_summary.json, invariants.json) as
+strict JSON, so identical configurations and seeds reproduce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -29,16 +32,15 @@ import numpy as np
 
 from . import __version__
 from .forcing import (
-    additive_intensity,
+    NoiseIntensity,
+    NoiseModel,
     default_mode_fields,
     default_qwiener,
-    multiplicative_intensity,
 )
 from .solver import (
     CSV_COLUMNS,
     Control,
     InitialCondition,
-    NoiseModel,
     SolverConfig,
     State,
     TrajectoryRecord,
@@ -199,35 +201,25 @@ def _build_noise(values, grid) -> Optional[NoiseModel]:
     mode = values[("noise", "mode")]
     if mode == "off":
         return None
-    if mode not in ("additive", "multiplicative"):
-        raise ConfigError(f"[noise].mode: unknown mode {mode!r}")
-    n_modes = values[("noise", "n_modes")]
-    if n_modes < 1:
-        raise ConfigError("[noise].n_modes: need at least one mode")
     spec = default_qwiener(
         grid.dimension,
-        n_modes,
+        values[("noise", "n_modes")],
         gamma=values[("noise", "gamma")],
         lambda0=values[("noise", "lambda0")],
         include_mean=values[("noise", "include_mean_mode")],
     )
     fields = default_mode_fields(grid, spec, amplitude=values[("noise", "amplitude")])
-    if mode == "additive":
-        intensity = additive_intensity(fields)
-    else:
-        intensity = multiplicative_intensity(
-            fields,
-            a0=values[("noise", "a0")],
-            a1=values[("noise", "a1")],
-            a2=values[("noise", "a2")],
-        )
-    return NoiseModel(spec, intensity)
+    envelope = ("a0", "a1", "a2") if mode == "multiplicative" else ()
+    coefficients = [values[("noise", a)] for a in envelope]
+    return NoiseModel(spec, NoiseIntensity(mode, tuple(fields), *coefficients))
 
 
 def read_control_csv(path, n_modes: int) -> Control:
-    """Piecewise-constant control from CSV rows (t, mode, value)."""
+    """Piecewise-constant control from CSV rows (t, mode, value); a bad file
+    raises a ConfigError naming [control].file and the line."""
     entries = {}
     times = set()
+    lineno = 0
     try:
         with open(path, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -236,20 +228,16 @@ def read_control_csv(path, n_modes: int) -> Control:
                 if row[0].strip().lower() in ("t", "time"):
                     continue
                 if len(row) != 3:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected 't,mode,value', got {row!r}"
-                    )
+                    raise ValueError(f"expected 't,mode,value', got {row!r}")
                 t, mode, value = float(row[0]), int(row[1]), float(row[2])
                 if not 0 <= mode < n_modes:
-                    raise ConfigError(
-                        f"{path}:{lineno}: mode {mode} outside [0, {n_modes})"
-                    )
+                    raise ValueError(f"mode {mode} outside [0, {n_modes})")
                 times.add(t)
                 entries[(t, mode)] = value
     except FileNotFoundError:
-        raise ConfigError(f"control file not found: {path}") from None
+        raise ConfigError(f"[control].file: control file not found: {path}") from None
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"[control].file: {path}:{lineno}: {exc}") from None
     if not times:
         return Control.zero(n_modes)
     grid_times = np.array(sorted(times))
@@ -260,41 +248,52 @@ def read_control_csv(path, n_modes: int) -> Control:
     return Control(grid_times, samples)
 
 
-#: The word each SolverConfig error message names, and the INI key that sets
-#: it; first match wins, so "control" precedes the t_end its message cites.
-_SOLVER_KEYS = (
-    ("control", "[control].file"),
-    ("dt", "[time].dt"),
-    ("t_end", "[time].t_end"),
-    ("sobolev index", "[physics].sobolev_index"),
-    ("epsilon", "[noise].epsilon"),
-    ("cutoff_R", "[physics].cutoff_R"),
-    ("viscosity", "[physics].viscosity"),
-    ("galerkin_modes", "[physics].galerkin_modes"),
-)
+#: The word each constructor's error message names (the first one in the
+#: message wins), and the INI key that sets it.
+CONFIG_KEYS = {
+    "dimension": "[domain].dimension",
+    "resolution": "[domain].resolution",
+    "sobolev index": "[physics].sobolev_index",
+    "cutoff_R": "[physics].cutoff_R",
+    "viscosity": "[physics].viscosity",
+    "galerkin_modes": "[physics].galerkin_modes",
+    "advection": "[physics].advection",
+    "interpolation": "[physics].interpolation",
+    "velocity preset": "[physics].init_velocity",
+    "temperature preset": "[physics].init_temperature",
+    "dt": "[time].dt",
+    "t_end": "[time].t_end",
+    "noise mode": "[noise].mode",
+    "epsilon": "[noise].epsilon",
+    "n_modes": "[noise].n_modes",
+    # gamma cannot make an eigenvalue negative, lambda0 (the mean mode's) can
+    "eigenvalues": "[noise].lambda0",
+    "control": "[control].file",
+    "functional": "[ldp].functional",
+    "mode_index": "[ldp].mode_index",
+    "direction": "[ldp].direction",
+    "epsilons": "[ldp].eps_list",
+    "n_paths": "[ldp].n_paths",
+    "temporal block": "[ldp].family_blocks",
+    "box bound": "[ldp].box_bound",
+}
+_KEY_WORD = re.compile(r"\b(%s)\b" % "|".join(CONFIG_KEYS))
 
 
-def parse_config(path) -> tuple:
-    """Validated (SolverConfig, HarnessSettings) from an INI file.
+def config_error(exc: ValueError, flags=None) -> ConfigError:
+    """exc as a ConfigError naming, through CONFIG_KEYS, the key it is about;
+    flags maps a key a command-line flag supplied to that flag's name."""
+    if isinstance(exc, ConfigError):
+        return exc
+    msg = str(exc)
+    word = _KEY_WORD.search(msg)
+    key = CONFIG_KEYS[word.group(1)] if word else None
+    key = (flags or {}).get(key, key)
+    return ConfigError(f"{key}: {msg}" if key else msg)
 
-    Unknown sections or keys are errors; every failed invariant names the
-    offending [section].key.
-    """
-    path = Path(path)
-    values = _read_sections(path)
 
-    try:
-        grid = Grid(values[("domain", "dimension")], values[("domain", "resolution")])
-    except ValueError as exc:
-        raise ConfigError(f"[domain]: {exc}") from None
-
-    try:
-        scheme = AdvectionScheme(
-            values[("physics", "advection")], values[("physics", "interpolation")]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[physics]: {exc}") from None
-
+def _solver_config(values) -> SolverConfig:
+    grid = Grid(values[("domain", "dimension")], values[("domain", "resolution")])
     noise = _build_noise(values, grid)
     control = None
     control_file = values[("control", "file")]
@@ -302,17 +301,9 @@ def parse_config(path) -> tuple:
         if noise is None:
             raise ConfigError("[control].file: a control needs an active [noise]")
         control = read_control_csv(control_file, noise.spec.truncation)
-
     s = values[("physics", "sobolev_index")]
     gal = values[("physics", "galerkin_modes")]
-    init = InitialCondition(
-        velocity=values[("physics", "init_velocity")],
-        velocity_amplitude=values[("physics", "init_velocity_amplitude")],
-        temperature=values[("physics", "init_temperature")],
-        temperature_amplitude=values[("physics", "init_temperature_amplitude")],
-        seed=values[("physics", "init_seed")],
-    )
-    kwargs = dict(
+    return SolverConfig(
         grid=grid,
         dt=values[("time", "dt")],
         t_end=values[("time", "t_end")],
@@ -323,16 +314,35 @@ def parse_config(path) -> tuple:
         viscosity=values[("physics", "viscosity")],
         noise=noise,
         control=control,
-        scheme=scheme,
+        scheme=AdvectionScheme(
+            values[("physics", "advection")], values[("physics", "interpolation")]
+        ),
         cfl_cap=values[("physics", "cfl_cap")],
-        init=init,
+        init=InitialCondition(
+            velocity=values[("physics", "init_velocity")],
+            velocity_amplitude=values[("physics", "init_velocity_amplitude")],
+            temperature=values[("physics", "init_temperature")],
+            temperature_amplitude=values[("physics", "init_temperature_amplitude")],
+            seed=values[("physics", "init_seed")],
+        ),
     )
+
+
+def parse_config(path, control_file: Optional[str] = None) -> tuple:
+    """Validated (SolverConfig, HarnessSettings) from an INI file.
+
+    control_file, when given, replaces [control].file before validation.
+    Unknown sections or keys are errors; every failed invariant names the
+    offending [section].key.
+    """
+    path = Path(path)
+    values = _read_sections(path)
+    if control_file:
+        values[("control", "file")] = control_file
     try:
-        config = SolverConfig(**kwargs)
+        config = _solver_config(values)
     except ValueError as exc:
-        msg = str(exc)
-        key = next((k for w, k in _SOLVER_KEYS if re.search(rf"\b{w}\b", msg)), None)
-        raise ConfigError(f"{key}: {msg}" if key else msg) from None
+        raise config_error(exc) from None
 
     raw_eps = values[("ldp", "eps_list")]
     try:
@@ -453,10 +463,20 @@ def write_csv(header, rows, path):
         writer.writerows([format(float(v), ".17g") for v in row] for row in rows)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float (a blown-up path's NaN) made None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(obj, path):
-    """JSON with a two-space indent and sorted keys, ending in a newline."""
+    """Strict JSON (a non-finite float is null) with a two-space indent and
+    sorted keys, ending in a newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -41,6 +41,9 @@ class _TerminalModeAmplitude:
     """Coefficient of the chosen noise mode in u(T), in one-forcing-field units."""
 
     def __init__(self, config: SolverConfig, mode_index: int = 0):
+        n_modes = config.noise.spec.truncation
+        if not 0 <= mode_index < n_modes:
+            raise ValueError(f"mode_index {mode_index} outside [0, {n_modes})")
         base = config.noise.intensity.base_fields[mode_index]
         self.base_coeffs = base.coefficients
         self.norm_sq = lp_norm(base, 2) ** 2

@@ -42,8 +42,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .forcing import (
-    NoiseIntensity,
-    QWienerSpec,
+    NoiseModel,
     RandomStream,
     apply_noise,
     sample_increment,
@@ -130,18 +129,6 @@ class Control:
 
 
 @dataclass
-class NoiseModel:
-    """Covariance spectrum plus the intensity mapping modes to force fields."""
-
-    spec: QWienerSpec
-    intensity: NoiseIntensity
-
-    def __post_init__(self):
-        if self.intensity.n_fields != self.spec.truncation:
-            raise ValueError("noise intensity/spec mode counts differ")
-
-
-@dataclass
 class InitialCondition:
     """Named initial-data presets (resolved by build_initial_state)."""
 
@@ -150,6 +137,12 @@ class InitialCondition:
     temperature: str = "zero"
     temperature_amplitude: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.velocity not in ("zero", "shear", "taylor_green", "random"):
+            raise ValueError(f"unknown velocity preset {self.velocity!r}")
+        if self.temperature not in ("zero", "constant", "sine", "random"):
+            raise ValueError(f"unknown temperature preset {self.temperature!r}")
 
 
 @dataclass
@@ -277,8 +270,7 @@ def momentum_rhs(state: State, config: SolverConfig):
     drift = _buoyancy_term(theta)
     if config.control is not None:
         h = config.control.value_at(state.t)
-        noise = config.noise
-        drift = drift + weighted_sum(noise.intensity, noise.spec, u, theta, h)
+        drift = drift + weighted_sum(config.noise, u, theta, h)
     if phi != 0.0:
         drift = drift - phi * leray_project(_advection_term(u))
     if config.galerkin_modes is not None:
@@ -312,9 +304,7 @@ def step(
     pre = state.u + dt * drift
     if config.epsilon > 0:
         inc = sample_increment(config.noise.spec, dt, stream, step_index)
-        forcing = apply_noise(
-            config.noise.intensity, config.noise.spec, state.u, state.theta, inc
-        )
+        forcing = apply_noise(config.noise, state.u, state.theta, inc)
         if config.galerkin_modes is not None:
             forcing = galerkin_project(forcing, config.galerkin_modes)
         pre = pre + math.sqrt(config.epsilon) * forcing
@@ -480,7 +470,7 @@ def build_initial_state(config: SolverConfig) -> State:
                 -amp * np.cos(mesh[0]) * np.sin(mesh[1]) * np.cos(mesh[2]),
                 np.zeros(grid.shape),
             )
-    elif kind == "random":
+    else:  # random
         raw = SpectralVectorField.from_samples(
             grid, *[rng.standard_normal(grid.shape) for _ in range(grid.dimension)]
         )
@@ -488,8 +478,6 @@ def build_initial_state(config: SolverConfig) -> State:
         sup = lp_norm(u, np.inf)
         if sup > 0:
             u = (amp / sup) * u
-    else:
-        raise ValueError(f"unknown velocity preset {kind!r}")
 
     kind = init.temperature
     amp = init.temperature_amplitude
@@ -499,14 +487,12 @@ def build_initial_state(config: SolverConfig) -> State:
         theta = SpectralScalarField.from_samples(grid, np.full(grid.shape, amp))
     elif kind == "sine":
         theta = SpectralScalarField.from_samples(grid, amp * np.sin(mesh[0]))
-    elif kind == "random":
+    else:  # random
         raw = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
         theta = galerkin_project(raw, min(grid.n // 3, 8))
         sup = lp_norm(theta, np.inf)
         if sup > 0:
             theta = (amp / sup) * theta
-    else:
-        raise ValueError(f"unknown temperature preset {kind!r}")
     return State(0.0, u, theta)
 
 

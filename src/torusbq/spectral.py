@@ -476,10 +476,8 @@ def divergence_defect(v: SpectralVectorField) -> float:
     Evaluated entirely from coefficients (Parseval for the L^2 factor), so it
     is cheap enough to check every step.
     """
-    g = v.grid
-    l2_div = parseval_l2(g, divergence(v).coefficients)
-    h1 = np.sqrt(((1.0 + g.k2) * _abs2(v.coefficients)).sum())
-    return float(l2_div / (1.0 + h1))
+    l2_div = parseval_l2(v.grid, divergence(v).coefficients)
+    return float(l2_div / (1.0 + sobolev_norm(v, 1)))
 
 
 def implicit_diffusion_solve(

@@ -2,9 +2,10 @@
 
 perfbench/tracer.py wraps the functions listed in its LAYERS table and fails
 the traced benchmark when one is gone; perfbench/workloads.py builds its
-inputs through the library's public constructors.  Checking both here makes a
-rename or a constructor change fail the test suite first.  The perfbench
-files are loaded from their paths and only read; nothing is wrapped.
+inputs through the library's public constructors.  Checking both here, and
+running every workload's setup, makes a rename or a constructor change fail
+the test suite first.  The perfbench files are loaded from their paths and
+only read; nothing is wrapped.
 """
 
 import importlib
@@ -28,6 +29,7 @@ def load(name):
 
 
 LAYERS = load("tracer").LAYERS
+WORKLOADS = load("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize(
@@ -57,3 +59,17 @@ def test_ou_toy_skeleton_solve():
     rho = 1.0 / (1.0 + workloads.OU_DT)
     want = workloads.OU_DT * sum(rho**j for j in range(1, config.n_steps + 1))
     assert amplitude == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_setup(name, tmp_path):
+    """Each workload builds its inputs; the OU workloads register a timed
+    functional in ldp.FUNCTIONALS, which is restored afterwards."""
+    from torusbq import ldp
+
+    saved = dict(ldp.FUNCTIONALS)
+    try:
+        WORKLOADS[name].setup(0, tmp_path)
+    finally:
+        ldp.FUNCTIONALS.clear()
+        ldp.FUNCTIONALS.update(saved)

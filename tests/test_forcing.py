@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torusbq.forcing import (
+    NoiseModel,
     QWienerSpec,
     RandomStream,
     additive_intensity,
@@ -145,7 +146,7 @@ class TestApplyNoise:
         f = additive_intensity([cos_x2_field(grid)])
         spec = single_mode_spec()
         u, theta = zero_state(grid)
-        out = apply_noise(f, spec, u, theta, np.array([0.3]))
+        out = apply_noise(NoiseModel(spec, f), u, theta, np.array([0.3]))
         expect = 0.3 * np.cos(grid.x_mesh[1])
         assert np.max(np.abs(out.samples[0] - expect)) < 1e-14
         assert np.max(np.abs(out.samples[1])) < 1e-14
@@ -161,16 +162,15 @@ class TestApplyNoise:
         )
         theta = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
         inc = np.array([0.7])
-        a = apply_noise(fa, spec, u, theta, inc)
-        b = apply_noise(fm, spec, u, theta, inc)
+        a = apply_noise(NoiseModel(spec, fa), u, theta, inc)
+        b = apply_noise(NoiseModel(spec, fm), u, theta, inc)
         assert np.array_equal(a.samples, b.samples)
 
     def test_mode_count_mismatch(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
         spec = default_qwiener(2, 3)
-        u, theta = zero_state(grid)
-        with pytest.raises(ValueError):
-            apply_noise(f, spec, u, theta, np.zeros(3))
+        with pytest.raises(ValueError, match="carries 1 fields but spec retains 3"):
+            NoiseModel(spec, f)
 
     def test_output_divergence_free(self, grid):
         spec = default_qwiener(2, 6)
@@ -183,7 +183,7 @@ class TestApplyNoise:
         )
         theta = SpectralScalarField.from_samples(grid, rng.standard_normal(grid.shape))
         inc = sample_increment(spec, 0.1, RandomStream(3))
-        out = apply_noise(f, spec, u, theta, inc)
+        out = apply_noise(NoiseModel(spec, f), u, theta, inc)
         assert lp_norm(divergence(out), 2) < 1e-12 * (1 + sobolev_norm(out, 1))
 
 
@@ -192,12 +192,12 @@ class TestHsNorm:
         f = additive_intensity([cos_x2_field(grid)])
         spec = QWienerSpec((((0, 1), "cos"),), np.array([0.0]))
         u, theta = zero_state(grid)
-        assert hs_norm(f, spec, u, theta, 0) == 0.0
+        assert hs_norm(NoiseModel(spec, f), u, theta, 0) == 0.0
 
     def test_single_mode_h0(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
         u, theta = zero_state(grid)
-        val = hs_norm(f, single_mode_spec(), u, theta, 0)
+        val = hs_norm(NoiseModel(single_mode_spec(), f), u, theta, 0)
         # H^0 norm of cos x2 is sqrt(1/2); equals L^2 value / (2 pi)^{d/2}
         assert abs(val - np.sqrt(0.5)) < 1e-13
         assert abs(val - lp_norm(cos_x2_field(grid), 2) / (2 * np.pi)) < 1e-13
@@ -206,9 +206,9 @@ class TestHsNorm:
         spec = default_qwiener(2, 5)
         f = additive_intensity(default_mode_fields(grid, spec))
         u, theta = zero_state(grid)
-        a = hs_norm(f, spec, u, theta, 1)
+        a = hs_norm(NoiseModel(spec, f), u, theta, 1)
         spec2 = QWienerSpec(spec.modes, 2 * spec.eigenvalues)
-        b = hs_norm(f, spec2, u, theta, 1)
+        b = hs_norm(NoiseModel(spec2, f), u, theta, 1)
         assert abs(b - np.sqrt(2) * a) < 1e-12 * a
 
     def test_multiplicative_envelope_evaluated_once(self, grid, monkeypatch):
@@ -238,7 +238,7 @@ class TestHsNorm:
             return original(self, u, theta)
 
         monkeypatch.setattr(NoiseIntensity, "mode_samples", counted)
-        assert hs_norm(f, spec, u, theta, 2) == float(np.sqrt(want))
+        assert hs_norm(NoiseModel(spec, f), u, theta, 2) == float(np.sqrt(want))
         assert len(calls) == 1
 
 
@@ -247,23 +247,22 @@ class TestItoIsometry:
         f = additive_intensity([SpectralVectorField.zero(grid)])
         u, theta = zero_state(grid)
         lhs, rhs, gap = ito_isometry_estimate(
-            f, single_mode_spec(), u, theta, 0.01, 10, 8, RandomStream(0)
+            NoiseModel(single_mode_spec(), f), u, theta, 0.01, 10, 8, RandomStream(0)
         )
         assert (lhs, rhs, gap) == (0.0, 0.0, 0.0)
 
     def test_rejects_zero_paths(self, grid):
-        f = additive_intensity([cos_x2_field(grid)])
+        noise = NoiseModel(single_mode_spec(), additive_intensity([cos_x2_field(grid)]))
         u, theta = zero_state(grid)
         with pytest.raises(ValueError):
-            ito_isometry_estimate(
-                f, single_mode_spec(), u, theta, 0.01, 10, 0, RandomStream(0)
-            )
+            ito_isometry_estimate(noise, u, theta, 0.01, 10, 0, RandomStream(0))
 
     def test_single_mode_gap(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
         u, theta = zero_state(grid)
+        noise = NoiseModel(single_mode_spec(), f)
         lhs, rhs, gap = ito_isometry_estimate(
-            f, single_mode_spec(), u, theta, 0.01, 20, 2000, RandomStream(1)
+            noise, u, theta, 0.01, 20, 2000, RandomStream(1)
         )
         assert rhs == pytest.approx(20 * 0.01 * 0.5, rel=1e-12)
         assert gap <= 0.1
@@ -279,8 +278,9 @@ class TestItoIsometry:
             grid, np.zeros(grid.shape), np.cos(grid.x_mesh[0])
         )
         u, theta = zero_state(grid)
+        noise = NoiseModel(spec, additive_intensity([f1, f2]))
         lhs, rhs, gap = ito_isometry_estimate(
-            additive_intensity([f1, f2]), spec, u, theta, 0.01, 20, 2000, RandomStream(2)
+            noise, u, theta, 0.01, 20, 2000, RandomStream(2)
         )
         # independence: variances add across modes
         assert rhs == pytest.approx(2 * 20 * 0.01 * 0.5, rel=1e-12)
@@ -338,7 +338,7 @@ class TestConditions:
                 grid, rng.standard_normal(grid.shape)
             )
             s = 2
-            val = hs_norm(f, spec, u, theta, s)
+            val = hs_norm(NoiseModel(spec, f), u, theta, s)
             ratios.append(
                 val / (1 + sobolev_norm(u, s) + sobolev_norm(theta, s))
             )

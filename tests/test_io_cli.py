@@ -268,6 +268,28 @@ quiet = true
 """
 
 
+BLOW_UP_CONFIG = """
+[domain]
+dimension = 2
+resolution = 32
+
+[time]
+dt = 0.5
+t_end = 5.0
+
+[physics]
+advection = spectral_rk2
+init_velocity = taylor_green
+init_velocity_amplitude = 8.0
+init_temperature = random
+init_temperature_amplitude = 5.0
+
+[output]
+directory = {out}
+quiet = true
+"""
+
+
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -300,31 +322,24 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 1
 
     def test_blow_up_exit_two(self, tmp_path):
-        text = """
-[domain]
-dimension = 2
-resolution = 32
-
-[time]
-dt = 0.5
-t_end = 5.0
-
-[physics]
-advection = spectral_rk2
-init_velocity = taylor_green
-init_velocity_amplitude = 8.0
-init_temperature = random
-init_temperature_amplitude = 5.0
-
-[output]
-directory = {out}
-quiet = true
-"""
         out = tmp_path / "boom"
-        cfg = write_config(tmp_path, text.format(out=out))
+        cfg = write_config(tmp_path, BLOW_UP_CONFIG.format(out=out))
         assert main(["simulate", "--config", str(cfg)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stop_reason"].startswith("blow_up:")
+
+    def test_blown_up_ensemble_summary_is_strict_json(self, tmp_path):
+        out = tmp_path / "boom"
+        cfg = write_config(tmp_path, BLOW_UP_CONFIG.format(out=out))
+        assert main(["ensemble", "--config", str(cfg), "--paths", "2"]) == 2
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (out / "ensemble_summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["blown_up_paths"] == 2
+        assert summary["mean"]["terminal_l2_u"] is None
 
     def test_skeleton_zero_control_equals_simulate(self, tmp_path):
         out1, out2 = tmp_path / "sim", tmp_path / "skel"
@@ -432,7 +447,9 @@ quiet = true
             ("functional", "bogus"),
             ("direction", "above"),
             ("family_blocks", "0"),
+            ("box_bound", "-1"),
             ("mode_index", "5"),
+            ("mode_index", "-1"),
             ("n_paths", "20"),
             ("eps_list", "0.01,0.04"),
             ("eps_list", "1.5,0.5"),
@@ -450,6 +467,45 @@ quiet = true
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         assert f"error: [ldp].{key}: " in capsys.readouterr().err
         assert not (tmp_path / "ldp").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("domain", "dimension", "4"),
+            ("domain", "resolution", "12"),
+            ("physics", "advection", "upwind"),
+            ("physics", "interpolation", "quintic"),
+            ("physics", "init_velocity", "bogus"),
+            ("physics", "init_temperature", "bogus"),
+            ("noise", "lambda0", "-1"),
+        ],
+    )
+    def test_bad_value_names_key(self, tmp_path, capsys, section, key, value):
+        lines = [
+            line
+            for line in SIM_CONFIG.format(out=tmp_path / "out").splitlines()
+            if not line.startswith(f"{key} =")
+        ]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+        cfg = write_config(tmp_path, "\n".join(lines))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{section}].{key}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.05,0,1.0\n", "0.0,0,1.0\n0.06,0,0.5\n"],
+        ids=["late_start", "past_t_end"],
+    )
+    def test_bad_control_flag_names_key(self, tmp_path, capsys, rows):
+        control = tmp_path / "control.csv"
+        control.write_text("t,mode,value\n" + rows)
+        cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
+        argv = ["simulate", "--config", str(cfg), "--control", str(control)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [control].file: control time grid")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, text, paths",

@@ -317,3 +317,11 @@ def test_event_validation():
         RareEvent("bogus", 1.0)
     with pytest.raises(ValueError):
         RareEvent("terminal_l2_u", 1.0, direction="above")
+
+
+@pytest.mark.parametrize("mode_index", [-1, 1])
+def test_mode_index_outside_the_retained_modes(mode_index):
+    cfg = toy_config()  # one retained mode
+    event = RareEvent("terminal_mode_amplitude", 0.1, params={"mode_index": mode_index})
+    with pytest.raises(ValueError, match=rf"mode_index {mode_index} outside \[0, 1\)"):
+        event.build(cfg)
