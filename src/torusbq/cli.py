@@ -50,7 +50,7 @@ from .io import (
     write_timeseries,
 )
 from .ldp import FUNCTIONALS, ControlFamily, RareEvent, varadhan_gap
-from .ldp import check_eps_list, check_n_paths
+from .ldp import check_dimension, check_eps_list, check_n_paths
 from .mollifier import MollifierSpec, mollify
 from .solver import State, run, run_ensemble
 
@@ -134,7 +134,7 @@ def _trajectory_outcome(record, harness) -> Outcome:
         lines = [f"wrote {', '.join(files)} to {harness.out_dir}"]
         return Outcome(files, lines, stop_reason=record.stop_reason)
     cause = record.stop_reason.replace("_", " ").replace(":", " in ")
-    error = f"numerical {cause} at t={record.rows[-1].t:.6g}"
+    error = f"numerical {cause} at t={record.column('t')[-1]:.6g}"
     return Outcome(
         files, error=error, code=EXIT_BLOW_UP, stop_reason=record.stop_reason
     )
@@ -211,6 +211,7 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
         params["mode_index"] = settings.mode_index
     n_paths = args.paths if args.paths is not None else settings.n_paths
     try:
+        check_dimension(config)
         event = RareEvent(
             settings.functional, settings.threshold, settings.direction, params
         )

@@ -181,9 +181,9 @@ class StoppingRule:
             integrand = np.nan_to_num(grad_w) + h
             integral = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * dt])
             return record.column("l2_w") + record.column("l4_w") + integral
-        values = np.empty(len(record.rows))
-        for i in range(len(record.rows)):
-            partial = TrajectoryRecord(dt=record.dt, rows=record.rows[: i + 1])
+        values = np.empty(len(record.values))
+        for i in range(len(values)):
+            partial = TrajectoryRecord(dt=record.dt, values=record.values[: i + 1])
             values[i] = self.functional(partial)
         return values
 
@@ -203,11 +203,10 @@ class StoppingRule:
 def check_stopping(record: TrajectoryRecord, rule: StoppingRule) -> Optional[float]:
     """First recorded time the rule's running functional exceeds its threshold."""
     values = rule.running_values(record)
-    times = record.times
     hits = np.nonzero(np.isfinite(values) & (values > rule.threshold))[0]
     if len(hits) == 0:
         return None
-    return float(times[hits[0]])
+    return float(record.column("t")[hits[0]])
 
 
 def energy_budget(record: TrajectoryRecord) -> np.ndarray:

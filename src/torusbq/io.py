@@ -481,9 +481,8 @@ def write_json(obj, path):
 
 
 def write_timeseries(record: TrajectoryRecord, path):
-    """The pinned CSV_COLUMNS of every diagnostic row."""
-    rows = ([getattr(row, name) for name in CSV_COLUMNS] for row in record.rows)
-    write_csv(CSV_COLUMNS, rows, path)
+    """The pinned CSV_COLUMNS (the table's leading columns) of every row."""
+    write_csv(CSV_COLUMNS, record.values[:, : len(CSV_COLUMNS)].tolist(), path)
 
 
 # -- manifests ----------------------------------------------------------------------

@@ -62,9 +62,10 @@ class _RowColumnFunctional:
         self.reduce = reduce
 
     def __call__(self, record: TrajectoryRecord) -> float:
+        values = record.column(self.column)
         if self.reduce == "terminal":
-            return float(getattr(record.rows[-1], self.column))
-        return float(np.max(record.column(self.column)))
+            return float(values[-1])
+        return float(np.max(values))
 
 
 def _column_builder(column, reduce):
@@ -149,8 +150,7 @@ def solve_skeleton(
     config: SolverConfig, h: Optional[Control], full_diagnostics: bool = True
 ) -> TrajectoryRecord:
     """Deterministic controlled trajectory (the noise-free system plus P f h)."""
-    if config.grid.dimension != 2:
-        raise ValueError("the skeleton map is defined for dimension 2")
+    check_dimension(config)
     cfg = dataclasses.replace(config, epsilon=0.0, control=h)
     return run(cfg, full_diagnostics=full_diagnostics)
 
@@ -195,6 +195,12 @@ def mc_rare_event(
         return 1.0, (1.0 - 3.0 / n_paths, 1.0)
     half = norm.ppf(0.975) * np.sqrt(p * (1.0 - p) / n_paths)
     return p, (max(0.0, p - half), min(1.0, p + half))
+
+
+def check_dimension(config: SolverConfig):
+    """Raise ValueError unless config is 2D, where the skeleton map is defined."""
+    if config.grid.dimension != 2:
+        raise ValueError(f"the skeleton map needs dimension 2, got {config.grid.dimension}")
 
 
 def check_n_paths(n_paths: int):

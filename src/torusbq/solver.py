@@ -329,97 +329,92 @@ def step(
 
 #: Column order of the time-series CSV (io module writes exactly these).
 CSV_COLUMNS = (
-    "t",
-    "l2_u",
-    "hs_u",
-    "hs1_u",
-    "hs_theta",
-    "linf_grad_u",
-    "linf_grad_theta",
-    "linf_theta",
-    "l2_w",
-    "l4_grad_w",
-    "phi_value",
-    "energy_residual",
-    "stop_flag",
+    "t", "l2_u", "hs_u", "hs1_u", "hs_theta", "linf_grad_u", "linf_grad_theta",
+    "linf_theta", "l2_w", "l4_grad_w", "phi_value", "energy_residual", "stop_flag",
+)
+#: The columns of a trajectory table: CSV_COLUMNS, then the extras.
+COLUMNS = CSV_COLUMNS + (
+    "l2_theta", "l4_w", "l2_grad_w", "div_defect", "h_h0", "cfl", "cfl_violated",
+)
+_COL = {name: i for i, name in enumerate(COLUMNS)}
+
+#: A table row before anything is recorded in it.
+BLANK_ROW = np.full(len(COLUMNS), np.nan)
+BLANK_ROW[_COL["phi_value"]] = 1.0
+for _name in ("energy_residual", "stop_flag", "h_h0", "cfl", "cfl_violated"):
+    BLANK_ROW[_COL[_name]] = 0.0
+
+_THETA_COLUMNS = np.array(
+    [_COL[n] for n in ("l2_theta", "hs_theta", "linf_grad_theta", "linf_theta")]
 )
 
-
-@dataclass
-class StepRow:
-    """Per-step diagnostics; CSV_COLUMNS names the serialised subset."""
-
-    t: float
-    l2_u: float = np.nan
-    hs_u: float = np.nan
-    hs1_u: float = np.nan
-    hs_theta: float = np.nan
-    linf_grad_u: float = np.nan
-    linf_grad_theta: float = np.nan
-    linf_theta: float = np.nan
-    l2_w: float = np.nan
-    l4_grad_w: float = np.nan
-    phi_value: float = 1.0
-    energy_residual: float = 0.0
-    stop_flag: int = 0
-    # extras outside the CSV contract
-    l2_theta: float = np.nan
-    l4_w: float = np.nan
-    l2_grad_w: float = np.nan
-    div_defect: float = np.nan
-    h_h0: float = 0.0
-    cfl: float = 0.0
-    cfl_violated: bool = False
+_ROW_DTYPE = np.dtype([(name, np.float64) for name in COLUMNS])
 
 
 @dataclass
 class TrajectoryRecord:
-    """Rows of per-step diagnostics plus the run outcome."""
+    """The diagnostics of one trajectory as a float64 table, plus its outcome.
+
+    values has one row per recorded state and its columns in COLUMNS order; a
+    column left uncomputed keeps its BLANK_ROW value: NaN, but 1 for phi_value
+    and 0 for energy_residual, stop_flag, h_h0, cfl and cfl_violated (the
+    flags hold 0 or 1).  rows is a read-only record view of the same memory,
+    for readers of a row's columns as attributes (rows[-1].l2_u).
+    """
 
     dt: float
-    rows: list = dataclass_field(default_factory=list)
+    values: np.ndarray = dataclass_field(
+        default_factory=lambda: np.empty((0, len(COLUMNS)))
+    )
     stop_reason: Optional[str] = None
     blown_up: bool = False
     final_state: Optional[State] = None
     epsilon: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(row, name) for row in self.rows], dtype=np.float64)
+        return self.values[:, _COL[name]]
 
     @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
+    def rows(self) -> np.recarray:
+        view = self.values.view(_ROW_DTYPE)[:, 0].view(np.recarray)
+        view.flags.writeable = False
+        return view
 
 
-def _diagnostic_row(state: State, config: SolverConfig, full: bool) -> StepRow:
+def _diagnostic_row(row, state: State, config: SolverConfig, full: bool, theta_row=None):
+    """Write the diagnostics of state into the blank table row; theta_row, the
+    row of a state with the same theta object, gives the theta columns."""
     u, theta = state.u, state.theta
-    row = StepRow(t=state.t)
     g = u.grid
-    row.l2_u = parseval_l2(g, u.coefficients)
-    row.l2_theta = parseval_l2(g, theta.coefficients)
+    row[_COL["t"]] = state.t
+    row[_COL["l2_u"]] = parseval_l2(g, u.coefficients)
+    if theta_row is not None:
+        row[_THETA_COLUMNS] = theta_row[_THETA_COLUMNS]
+    else:
+        row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
+        if full:
+            row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
+            row[_COL["linf_grad_theta"]] = grad_sup(theta)
+            row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
     if config.control is not None:
-        row.h_h0 = float(np.linalg.norm(config.control.value_at(state.t)))
+        row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
     if not full:
         # light rows keep only what stepping itself produces; phi for
         # post-step rows is filled in from the step info by run()
-        return row
-    row.linf_grad_u = velocity_grad_sup(u)
+        return
+    linf_grad_u = velocity_grad_sup(u)
+    row[_COL["linf_grad_u"]] = linf_grad_u
     if config.cutoff_R > 0:
-        row.phi_value = cutoff(row.linf_grad_u, config.cutoff_R)
-    s = config.s
-    row.hs_u = sobolev_norm(u, s)
-    row.hs1_u = sobolev_norm(u, min(s + 1, SOBOLEV_INDEX_CAP))
-    row.hs_theta = sobolev_norm(theta, s)
-    row.linf_grad_theta = grad_sup(theta)
-    row.linf_theta = lp_norm(theta, np.inf)
+        row[_COL["phi_value"]] = cutoff(linf_grad_u, config.cutoff_R)
+    row[_COL["hs_u"]] = sobolev_norm(u, config.s)
+    row[_COL["hs1_u"]] = sobolev_norm(u, min(config.s + 1, SOBOLEV_INDEX_CAP))
     if g.dimension == 2:
         w = perp_div_2d(u)
-        row.l2_w = parseval_l2(g, w.coefficients)
-        row.l4_w = lp_norm(w, 4)
+        row[_COL["l2_w"]] = parseval_l2(g, w.coefficients)
+        row[_COL["l4_w"]] = lp_norm(w, 4)
         grad_w = gradient(w)
-        row.l2_grad_w = parseval_l2(g, grad_w.coefficients)
-        row.l4_grad_w = lp_norm(grad_w, 4)
-    return row
+        row[_COL["l2_grad_w"]] = parseval_l2(g, grad_w.coefficients)
+        row[_COL["l4_grad_w"]] = lp_norm(grad_w, 4)
 
 
 def _energy_residual(prev: State, new: State, config: SolverConfig) -> float:
@@ -519,12 +514,18 @@ def run(
 
     The initial velocity is restricted to the dealiased band (and the Galerkin
     band when configured) so quadratic products stay alias-free, and refused
-    if its divergence defect exceeds DIV_FREE_RTOL.  Observers get obs(state,
-    row) for every state reached.  Stopping rules (diagnostics.StoppingRule)
-    are evaluated on the growing record, including the initial row; blow-up
-    terminates the record instead of raising.  full_diagnostics=False keeps
-    only the norms the stepper needs, for large ensembles; it refuses tau_R
-    and gamma_R rules, which read the columns it leaves out.
+    if its divergence defect exceeds DIV_FREE_RTOL.
+
+    The table (see TrajectoryRecord) is allocated once, one row per state up
+    to t_end; record.values is the part written so far, so a stop or a
+    blow-up truncates it.  Blow-up ends the record, instead of raising, with a
+    blank row holding t, stop_flag = 1 and NaN phi_value and energy_residual.
+    Observers get obs(state, record.rows[-1]) for every state reached.
+    Stopping rules (diagnostics.StoppingRule) are evaluated on the growing
+    record, including the initial row.  full_diagnostics=False records light
+    rows, for large ensembles: only t, l2_u, l2_theta, h_h0, phi_value, cfl,
+    cfl_violated, div_defect and stop_flag; it refuses tau_R and gamma_R
+    rules, which read the columns it leaves out.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")
@@ -535,48 +536,40 @@ def run(
     state = initial_state if initial_state is not None else build_initial_state(config)
     state = _prepare_state(state, config)
 
+    table = np.repeat(BLANK_ROW[None], config.n_steps + 1, axis=0)
     record = TrajectoryRecord(dt=config.dt, epsilon=config.epsilon)
-    row = _diagnostic_row(state, config, full_diagnostics)
-    record.rows.append(row)
-    for obs in observers:
-        obs(state, row)
-
-    def check_rules() -> bool:
-        for rule in stopping_rules:
-            if rule.fires(record):
-                record.rows[-1].stop_flag = 1
-                record.stop_reason = rule.describe()
-                return True
-        return False
-
-    stopped = check_rules()
-    n_steps = config.n_steps
-    for j in range(n_steps):
-        if stopped:
+    for i, row in enumerate(table):
+        record.values = table[: i + 1]
+        if i == 0:
+            _diagnostic_row(row, state, config, full_diagnostics)
+        else:
+            try:
+                new_state, info = step(state, config, stream, i - 1)
+            except BlowUpError as exc:
+                row[_COL["t"]] = state.t + config.dt
+                row[_COL["stop_flag"]] = 1.0
+                row[_COL["phi_value"]] = row[_COL["energy_residual"]] = np.nan
+                record.stop_reason = f"blow_up:{exc.diagnostic}"
+                record.blown_up = True
+                break
+            theta_row = table[i - 1] if new_state.theta is state.theta else None
+            _diagnostic_row(row, new_state, config, full_diagnostics, theta_row)
+            row[_COL["phi_value"]] = info["phi"]
+            row[_COL["cfl"]] = info["cfl"]
+            row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
+            row[_COL["div_defect"]] = info["div_defect"]
+            if full_diagnostics:
+                row[_COL["energy_residual"]] = _energy_residual(state, new_state, config)
+            state = new_state
+        if observers:
+            row_view = record.rows[-1]
+            for obs in observers:
+                obs(state, row_view)
+        fired = next((rule for rule in stopping_rules if rule.fires(record)), None)
+        if fired is not None:
+            row[_COL["stop_flag"]] = 1.0
+            record.stop_reason = fired.describe()
             break
-        try:
-            new_state, info = step(state, config, stream, j)
-        except BlowUpError as exc:
-            terminal = StepRow(t=state.t + config.dt)
-            terminal.stop_flag = 1
-            terminal.phi_value = np.nan
-            terminal.energy_residual = np.nan
-            record.rows.append(terminal)
-            record.stop_reason = f"blow_up:{exc.diagnostic}"
-            record.blown_up = True
-            break
-        row = _diagnostic_row(new_state, config, full_diagnostics)
-        row.phi_value = info["phi"]
-        row.cfl = info["cfl"]
-        row.cfl_violated = info["cfl"] > config.cfl_cap
-        row.div_defect = info["div_defect"]
-        if full_diagnostics:
-            row.energy_residual = _energy_residual(state, new_state, config)
-        record.rows.append(row)
-        state = new_state
-        for obs in observers:
-            obs(state, row)
-        stopped = check_rules()
 
     record.final_state = state
     return record

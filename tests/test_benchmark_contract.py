@@ -8,6 +8,7 @@ the test suite first.  The perfbench files are loaded from their paths and
 only read; nothing is wrapped.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -29,7 +30,8 @@ def load(name):
 
 
 LAYERS = load("tracer").LAYERS
-WORKLOADS = load("workloads").WORKLOADS
+WORKLOADS_MODULE = load("workloads")
+WORKLOADS = WORKLOADS_MODULE.WORKLOADS
 
 
 @pytest.mark.parametrize(
@@ -63,13 +65,21 @@ def test_ou_toy_skeleton_solve():
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_setup(name, tmp_path):
-    """Each workload builds its inputs; the OU workloads register a timed
+    """Each workload builds its inputs and runs one checked main call; the
+    simulations are cut to two steps.  The OU workloads register a timed
     functional in ldp.FUNCTIONALS, which is restored afterwards."""
     from torusbq import ldp
 
+    workload = WORKLOADS[name]
     saved = dict(ldp.FUNCTIONALS)
     try:
-        WORKLOADS[name].setup(0, tmp_path)
+        workload.setup(0, tmp_path)
+        if isinstance(workload, WORKLOADS_MODULE.Simulation):
+            config = workload.config
+            workload.config = dataclasses.replace(config, t_end=2 * config.dt)
+        result = workload.call()
+        assert result.problems == []
+        assert result.failed == 0
     finally:
         ldp.FUNCTIONALS.clear()
         ldp.FUNCTIONALS.update(saved)

@@ -247,7 +247,7 @@ class TestStopping:
 
         rule = StoppingRule("custom", 0.05, functional=decay)
         fired = [
-            rule.fires(TrajectoryRecord(dt=rec.dt, rows=rec.rows[: i + 1]))
+            rule.fires(TrajectoryRecord(dt=rec.dt, values=rec.values[: i + 1]))
             for i in range(len(rec.rows))
         ]
         assert fired == list(rule.running_values(rec) > rule.threshold)

@@ -321,6 +321,7 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blow_up_exit_two(self, tmp_path):
         out = tmp_path / "boom"
         cfg = write_config(tmp_path, BLOW_UP_CONFIG.format(out=out))
@@ -328,6 +329,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stop_reason"].startswith("blow_up:")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blown_up_ensemble_summary_is_strict_json(self, tmp_path):
         out = tmp_path / "boom"
         cfg = write_config(tmp_path, BLOW_UP_CONFIG.format(out=out))
@@ -539,6 +541,14 @@ class TestCli:
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [control].file: ") and "Girsanov" in err
+        assert not (tmp_path / "ldp").exists()
+
+    def test_ldp_mc_refuses_3d(self, tmp_path, capsys):
+        text = LDP_CONFIG.format(out=tmp_path / "ldp")
+        cfg = write_config(tmp_path, text.replace("dimension = 2", "dimension = 3"))
+        assert main(["ldp-mc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [domain].dimension: the skeleton map")
         assert not (tmp_path / "ldp").exists()
 
     @pytest.mark.parametrize(

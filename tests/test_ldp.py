@@ -9,6 +9,7 @@ from torusbq.forcing import (
     default_qwiener,
 )
 from torusbq.ldp import (
+    FUNCTIONALS,
     ControlFamily,
     RareEvent,
     VaradhanTable,
@@ -325,3 +326,32 @@ def test_mode_index_outside_the_retained_modes(mode_index):
     event = RareEvent("terminal_mode_amplitude", 0.1, params={"mode_index": mode_index})
     with pytest.raises(ValueError, match=rf"mode_index {mode_index} outside \[0, 1\)"):
         event.build(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+def test_light_row_flag(name):
+    """A functional flagged light reads the same value from light rows as
+    from full rows of the same path; one flagged full reads NaN from light
+    rows, which is why it needs the full ones."""
+    grid = Grid(2, 16)
+    spec = default_qwiener(2, 3)
+    cfg = SolverConfig(
+        grid=grid,
+        dt=0.01,
+        t_end=0.1,
+        cutoff_R=0.7,  # |grad u0|_inf = 1: phi starts inside (0, 1)
+        epsilon=0.25,
+        noise=NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec))),
+        init=InitialCondition(velocity="taylor_green", temperature="sine"),
+    )
+    builder, needs_full = FUNCTIONALS[name]
+    functional = builder(cfg)
+    full, light = (
+        functional(run(cfg, stream=RandomStream(6), full_diagnostics=full_rows))
+        for full_rows in (True, False)
+    )
+    assert np.isfinite(full)
+    if needs_full:
+        assert np.isnan(light)
+    else:
+        assert light == full

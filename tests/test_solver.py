@@ -305,6 +305,7 @@ class TestRunBookkeeping:
         for row in rec.rows[1:]:
             assert row.linf_grad_theta <= g0 * np.exp(2 * R * row.t) * 1.05
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blow_up_recorded_not_raised(self):
         cfg = base_config(
             n=32,

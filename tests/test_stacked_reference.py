@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from torusbq.solver import SolverConfig, State, _advection_term, _diagnostic_row
+from torusbq.solver import (
+    BLANK_ROW,
+    COLUMNS,
+    SolverConfig,
+    State,
+    _advection_term,
+    _diagnostic_row,
+)
 from torusbq.spectral import (
     Grid,
     SpectralScalarField,
@@ -190,6 +197,7 @@ def test_grad_u_transformed_once_per_state(grid, monkeypatch):
 
     sup = velocity_grad_sup(u)
     _advection_term(u)
-    row = _diagnostic_row(State(0.0, u, theta), config, True)
-    assert row.linf_grad_u == sup
+    row = BLANK_ROW.copy()
+    _diagnostic_row(row, State(0.0, u, theta), config, True)
+    assert row[COLUMNS.index("linf_grad_u")] == sup
     assert stacks == [(grid.dimension + 1, grid.dimension) + grid.shape]

@@ -20,6 +20,8 @@ from torusbq.forcing import (
     default_qwiener,
 )
 from torusbq.solver import (
+    BLANK_ROW,
+    COLUMNS,
     InitialCondition,
     NoiseModel,
     SolverConfig,
@@ -98,8 +100,9 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     # The full row of the new state transforms its grad u once (velocity
     # samples included), theta once and grad theta once; in 2D also the
     # vorticity and its gradient.  The energy residual needs none.
-    row, used = count_transforms(_diagnostic_row, new_state, config, True)
-    assert np.isfinite(row.linf_grad_u)
+    row = BLANK_ROW.copy()
+    _, used = count_transforms(_diagnostic_row, row, new_state, config, True)
+    assert np.isfinite(row[COLUMNS.index("linf_grad_u")])
     assert used == full_row
     _, used = count_transforms(_energy_residual, state, new_state, config)
     assert used == 0
@@ -141,5 +144,6 @@ def test_saturated_cutoff_light_steps(count_transforms):
         (state, info), used = count_transforms(step, state, config, stream, j)
         assert info["phi"] == 0.0
         assert used == 1
-        _, used = count_transforms(_diagnostic_row, state, config, False)
+        row = BLANK_ROW.copy()
+        _, used = count_transforms(_diagnostic_row, row, state, config, False)
         assert used == 0
