@@ -329,12 +329,29 @@ def step(
 
 #: Column order of the time-series CSV (io module writes exactly these).
 CSV_COLUMNS = (
-    "t", "l2_u", "hs_u", "hs1_u", "hs_theta", "linf_grad_u", "linf_grad_theta",
-    "linf_theta", "l2_w", "l4_grad_w", "phi_value", "energy_residual", "stop_flag",
+    "t",
+    "l2_u",
+    "hs_u",
+    "hs1_u",
+    "hs_theta",
+    "linf_grad_u",
+    "linf_grad_theta",
+    "linf_theta",
+    "l2_w",
+    "l4_grad_w",
+    "phi_value",
+    "energy_residual",
+    "stop_flag",
 )
 #: The columns of a trajectory table: CSV_COLUMNS, then the extras.
 COLUMNS = CSV_COLUMNS + (
-    "l2_theta", "l4_w", "l2_grad_w", "div_defect", "h_h0", "cfl", "cfl_violated",
+    "l2_theta",
+    "l4_w",
+    "l2_grad_w",
+    "div_defect",
+    "h_h0",
+    "cfl",
+    "cfl_violated",
 )
 _COL = {name: i for i, name in enumerate(COLUMNS)}
 
@@ -343,10 +360,6 @@ BLANK_ROW = np.full(len(COLUMNS), np.nan)
 BLANK_ROW[_COL["phi_value"]] = 1.0
 for _name in ("energy_residual", "stop_flag", "h_h0", "cfl", "cfl_violated"):
     BLANK_ROW[_COL[_name]] = 0.0
-
-_THETA_COLUMNS = np.array(
-    [_COL[n] for n in ("l2_theta", "hs_theta", "linf_grad_theta", "linf_theta")]
-)
 
 _ROW_DTYPE = np.dtype([(name, np.float64) for name in COLUMNS])
 
@@ -358,8 +371,8 @@ class TrajectoryRecord:
     values has one row per recorded state and its columns in COLUMNS order; a
     column left uncomputed keeps its BLANK_ROW value: NaN, but 1 for phi_value
     and 0 for energy_residual, stop_flag, h_h0, cfl and cfl_violated (the
-    flags hold 0 or 1).  rows is a read-only record view of the same memory,
-    for readers of a row's columns as attributes (rows[-1].l2_u).
+    flags hold 0 or 1); run returns it read-only.  rows is a read-only record
+    view of the same memory, for attribute readers (rows[-1].l2_u).
     """
 
     dt: float
@@ -381,21 +394,13 @@ class TrajectoryRecord:
         return view
 
 
-def _diagnostic_row(row, state: State, config: SolverConfig, full: bool, theta_row=None):
-    """Write the diagnostics of state into the blank table row; theta_row, the
-    row of a state with the same theta object, gives the theta columns."""
+def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
+    """Write the diagnostics of state into the blank table row."""
     u, theta = state.u, state.theta
     g = u.grid
     row[_COL["t"]] = state.t
     row[_COL["l2_u"]] = parseval_l2(g, u.coefficients)
-    if theta_row is not None:
-        row[_THETA_COLUMNS] = theta_row[_THETA_COLUMNS]
-    else:
-        row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
-        if full:
-            row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
-            row[_COL["linf_grad_theta"]] = grad_sup(theta)
-            row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
+    row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
     if config.control is not None:
         row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
     if not full:
@@ -408,6 +413,9 @@ def _diagnostic_row(row, state: State, config: SolverConfig, full: bool, theta_r
         row[_COL["phi_value"]] = cutoff(linf_grad_u, config.cutoff_R)
     row[_COL["hs_u"]] = sobolev_norm(u, config.s)
     row[_COL["hs1_u"]] = sobolev_norm(u, min(config.s + 1, SOBOLEV_INDEX_CAP))
+    row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
+    row[_COL["linf_grad_theta"]] = grad_sup(theta)
+    row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
     if g.dimension == 2:
         w = perp_div_2d(u)
         row[_COL["l2_w"]] = parseval_l2(g, w.coefficients)
@@ -552,8 +560,7 @@ def run(
                 record.stop_reason = f"blow_up:{exc.diagnostic}"
                 record.blown_up = True
                 break
-            theta_row = table[i - 1] if new_state.theta is state.theta else None
-            _diagnostic_row(row, new_state, config, full_diagnostics, theta_row)
+            _diagnostic_row(row, new_state, config, full_diagnostics)
             row[_COL["phi_value"]] = info["phi"]
             row[_COL["cfl"]] = info["cfl"]
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
@@ -571,6 +578,7 @@ def run(
             record.stop_reason = fired.describe()
             break
 
+    record.values.flags.writeable = False
     record.final_state = state
     return record
 

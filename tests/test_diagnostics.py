@@ -268,6 +268,14 @@ class TestEnergyBudget:
         res = energy_budget(run(cfg))
         assert np.max(np.abs(res)) == 0.0
 
+    def test_result_cannot_edit_record(self, grid):
+        rec = run(SolverConfig(grid=grid, dt=0.01, t_end=0.05))
+        with pytest.raises(ValueError, match="read-only"):
+            energy_budget(rec)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.values[0, 0] = 1.0
+        assert np.max(np.abs(energy_budget(rec))) == 0.0
+
     def test_refuses_stochastic(self, grid):
         cfg = SolverConfig(
             grid=grid, dt=0.01, t_end=0.05, epsilon=0.5, noise=single_mode_noise(grid)
