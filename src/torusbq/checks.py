@@ -10,9 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diagnostics import biot_savart, curl_2d
 from .forcing import RandomStream, apply_noise, sample_increment
-from .mollifier import MollifierSpec, mollify
 from .solver import (
     InitialCondition,
     SolverConfig,
@@ -20,15 +18,16 @@ from .solver import (
     run,
 )
 from .spectral import (
-    Grid,
     SpectralScalarField,
     SpectralVectorField,
+    biot_savart,
     divergence,
     divergence_defect,
     galerkin_project,
     implicit_diffusion_solve,
     leray_project,
     lp_norm,
+    mollify,
     perp_div_2d,
     perp_grad_2d,
     sobolev_norm,
@@ -125,7 +124,7 @@ def run_invariant_battery(config: SolverConfig) -> list:
         cc = w.coefficients.copy()
         cc[grid.mode_index((0,) * grid.dimension)] = 0.0
         w = SpectralScalarField.from_coefficients(grid, cc)
-        back = curl_2d(biot_savart(w))
+        back = perp_div_2d(biot_savart(w))
         record(
             "biot_savart_curl_round_trip",
             np.max(np.abs(back.coefficients - w.coefficients)),
@@ -154,12 +153,10 @@ def run_invariant_battery(config: SolverConfig) -> list:
     worst_diff = 0.0
     diffs = []
     for j in range(1, 9):
-        spec = MollifierSpec(2.0**-j)
-        smoothed = mollify(h, spec)
+        eps = 2.0**-j
+        smoothed = mollify(h, eps)
         worst_bound = max(worst_bound, sobolev_norm(smoothed, 2) / hs)
-        worst_diff = max(
-            worst_diff, sobolev_norm(smoothed - h, 1) / (spec.epsilon * hs)
-        )
+        worst_diff = max(worst_diff, sobolev_norm(smoothed - h, 1) / (eps * hs))
         diffs.append(sobolev_norm(smoothed - h, 2))
     record("mollifier_uniform_bound", worst_bound, 1.0 + 1e-12)
     record("mollifier_difference_bound", worst_diff, 1.0)

@@ -49,10 +49,10 @@ from .io import (
     write_snapshot,
     write_timeseries,
 )
-from .ldp import FUNCTIONALS, ControlFamily, RareEvent, varadhan_gap
-from .ldp import check_dimension, check_eps_list, check_n_paths
-from .mollifier import MollifierSpec, mollify
+from .ldp import FUNCTIONALS, VARADHAN_COLUMNS, ControlFamily, RareEvent
+from .ldp import check_dimension, check_eps_list, check_n_paths, varadhan_gap
 from .solver import State, run, run_ensemble
+from .spectral import mollify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -226,11 +226,11 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
         config, event, settings.eps_list, n_paths, family, harness.seed, settings.n_jobs
     )
     lines = [
-        f"eps={row.epsilon:g}: p_hat={row.p_hat:.4g} "
-        f"-eps*log(p)={row.neg_eps_log_p:.4g} best_cost={row.best_cost:.4g}"
-        for row in table.rows
+        f"eps={eps:g}: p_hat={p_hat:.4g} -eps*log(p)={gap:.4g} best_cost={cost:.4g}"
+        for eps, _, p_hat, _, _, gap, cost in table
     ]
-    return Outcome({"varadhan.csv": table.write_csv}, lines)
+    files = {"varadhan.csv": partial(write_csv, VARADHAN_COLUMNS, table.tolist())}
+    return Outcome(files, lines)
 
 
 def cmd_mollify(args, config, harness) -> Outcome:
@@ -238,11 +238,11 @@ def cmd_mollify(args, config, harness) -> Outcome:
         raise ConfigError("mollify needs --input SNAPSHOT and --epsilon VALUE")
     state = read_snapshot(args.input)
     harness.config_bytes = Path(args.input).read_bytes()  # hashed in the manifest
+    eps = args.epsilon
     try:
-        spec = MollifierSpec(args.epsilon)
+        smoothed = State(state.t, mollify(state.u, eps), mollify(state.theta, eps))
     except ValueError as exc:
         raise ConfigError(f"--epsilon: {exc}") from None
-    smoothed = State(state.t, mollify(state.u, spec), mollify(state.theta, spec))
     out = harness.out_dir / "state_mollified.bqsf"
     return Outcome({out.name: partial(write_snapshot, smoothed)}, [f"wrote {out}"])
 

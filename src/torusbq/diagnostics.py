@@ -1,4 +1,4 @@
-"""2D vorticity diagnostics: curl/Biot-Savart, blow-up monitors, energy budget.
+"""2D vorticity diagnostics: log-Gronwall quantities, blow-up monitors, energy budget.
 
 The scalar vorticity w = -d2 u1 + d1 u2 closes on itself in 2D (no vortex
 stretching), which is what the blow-up monitors exploit:
@@ -24,7 +24,7 @@ rounding and a dt-refinement study would only measure noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,43 +33,18 @@ from .solver import (
     SolverConfig,
     State,
     TrajectoryRecord,
-    build_initial_state,
     run,
 )
 from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
+    biot_savart,
     dealias,
     gradient,
     lp_norm,
     perp_div_2d,
-    perp_grad_2d,
-    sobolev_norm,
 )
 from .transport import advect
-
-
-def curl_2d(u: SpectralVectorField) -> SpectralScalarField:
-    """Scalar vorticity w = -d2 u1 + d1 u2 (2D only)."""
-    return perp_div_2d(u)
-
-
-def biot_savart(w: SpectralScalarField) -> SpectralVectorField:
-    """Mean-free divergence-free velocity with curl_2d(u) = w.
-
-    Inverts u = perp-grad of the stream function solving the Poisson problem;
-    the k = 0 velocity is a free parameter on the torus and is set to zero.
-    Rejects vorticity with a nonzero mean (reporting the measured mean).
-    """
-    g = w.grid
-    if g.dimension != 2:
-        raise ValueError("biot_savart requires dimension 2")
-    c = w.coefficients
-    mean = c[g.mode_index((0, 0))]
-    if abs(mean) > 1e-12 * max(sobolev_norm(w, 0), 1e-300):
-        raise ValueError(f"vorticity must be mean-free, measured mean {mean:.3e}")
-    psi = np.where(g.k2_masked == 0.0, 0.0, -c / g.k2_safe)
-    return perp_grad_2d(SpectralScalarField(g, coeffs=psi))
 
 
 # -- log-Gronwall quantities ---------------------------------------------------
@@ -100,7 +75,7 @@ def _curled_noise_aggregate(config: SolverConfig, state: State) -> float:
     fields = noise.intensity.mode_fields(state.u, state.theta)
     for lam, fe in zip(noise.spec.eigenvalues, fields):
         if lam != 0.0:
-            grad_curl = gradient(curl_2d(fe)).samples
+            grad_curl = gradient(perp_div_2d(fe)).samples
             agg += lam * (grad_curl[0] ** 2 + grad_curl[1] ** 2)
     a = np.sqrt(agg)
     return float((np.sum(a**4) * grid.cell_volume) ** 0.25)
@@ -111,7 +86,7 @@ def gronwall_record(state: State, config: SolverConfig) -> GronwallRecord:
     if config.grid.dimension != 2:
         raise ValueError("gronwall_record requires dimension 2")
     u, theta = state.u, state.theta
-    w = curl_2d(u)
+    w = perp_div_2d(u)
     grad_w = gradient(w)
     grad_theta = gradient(theta)
     gw4 = lp_norm(grad_w, 4)
@@ -151,49 +126,36 @@ def gronwall_record(state: State, config: SolverConfig) -> GronwallRecord:
 
 @dataclass
 class StoppingRule:
-    """First-passage monitor over a trajectory record.
+    """First-passage monitor over a trajectory record; two kinds.
 
     kind "tau_R" watches |grad u|_inf; "gamma_R" watches
     |w|_{L^2} + |w|_{L^4} + int |grad w|_{L^2} ds + int |h|_{H0} ds with
     left-endpoint quadrature (the control term vanishes in uncontrolled
-    runs); "custom" evaluates the supplied functional on the record.
-    Thresholds are monotone: a larger R never fires earlier on the same path.
+    runs).  Both read full diagnostic rows.  Thresholds are monotone: a
+    larger R never fires earlier on the same path.
     """
 
     kind: str
     threshold: float
-    functional: Optional[Callable[[TrajectoryRecord], float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("tau_R", "gamma_R", "custom"):
+        if self.kind not in ("tau_R", "gamma_R"):
             raise ValueError(f"unknown stopping rule kind {self.kind!r}")
-        if self.kind == "custom" and self.functional is None:
-            raise ValueError("custom rules need a functional")
 
     def running_values(self, record: TrajectoryRecord) -> np.ndarray:
         """The monitored functional at every recorded time."""
         if self.kind == "tau_R":
             return record.column("linf_grad_u")
-        if self.kind == "gamma_R":
-            dt = record.dt
-            grad_w = record.column("l2_grad_w")
-            h = record.column("h_h0")
-            integrand = np.nan_to_num(grad_w) + h
-            integral = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * dt])
-            return record.column("l2_w") + record.column("l4_w") + integral
-        values = np.empty(len(record.values))
-        for i in range(len(values)):
-            partial = TrajectoryRecord(dt=record.dt, values=record.values[: i + 1])
-            values[i] = self.functional(partial)
-        return values
+        dt = record.dt
+        grad_w = record.column("l2_grad_w")
+        h = record.column("h_h0")
+        integrand = np.nan_to_num(grad_w) + h
+        integral = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * dt])
+        return record.column("l2_w") + record.column("l4_w") + integral
 
     def fires(self, record: TrajectoryRecord) -> bool:
-        """Whether the functional exceeds the threshold at the last row; a
-        custom functional is called once, on the live record."""
-        if self.kind == "custom":
-            last = self.functional(record)
-        else:
-            last = self.running_values(record)[-1]
+        """Whether the functional exceeds the threshold at the last row."""
+        last = self.running_values(record)[-1]
         return bool(np.isfinite(last) and last > self.threshold)
 
     def describe(self) -> str:
@@ -227,7 +189,7 @@ def _curled_mode_data(config, u, theta):
     """Per-mode curl fields and spatial means of the forcing at a state."""
     mean = (slice(None),) + config.grid.mode_index((0, 0))
     fields = config.noise.intensity.mode_fields(u, theta)
-    curls = [curl_2d(fe).coefficients for fe in fields]
+    curls = [perp_div_2d(fe).coefficients for fe in fields]
     return curls, [fe.coefficients[mean] for fe in fields]
 
 
@@ -261,7 +223,7 @@ def vorticity_consistency(
     eps = config.epsilon
 
     state0 = states[0]
-    w = curl_2d(state0.u)
+    w = perp_div_2d(state0.u)
     theta = state0.theta
     mean = (slice(None),) + grid.mode_index((0, 0))
     mean_u = state0.u.coefficients[mean].copy()
@@ -298,7 +260,7 @@ def vorticity_consistency(
         w = SpectralScalarField.from_coefficients(grid, rhs / cn_plus)
         theta = advect(theta, u_full, dt, config.scheme)
 
-        w_primal = curl_2d(states[j + 1].u)
+        w_primal = perp_div_2d(states[j + 1].u)
         diff = w.coefficients - w_primal.coefficients
         gaps.append(float(vol_factor * np.sqrt(np.sum(np.abs(diff) ** 2))))
         times.append(states[j + 1].t)

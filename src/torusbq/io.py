@@ -153,6 +153,8 @@ def _convert(section: str, key: str, kind: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
+        if kind == "float" and not math.isfinite(float(raw)):
+            raise ValueError(raw)  # float() parses nan and inf; no key takes them
         if kind == "float":
             return float(raw)
         if kind == "bool":
@@ -164,6 +166,7 @@ def _convert(section: str, key: str, kind: str, raw: str):
             raise ValueError(raw)
         return raw.strip()
     except ValueError:
+        kind = "finite float" if kind == "float" else kind
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
 
 

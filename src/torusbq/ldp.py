@@ -23,7 +23,6 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from .forcing import QWienerSpec
-from .io import write_csv
 from .solver import (
     Control,
     SolverConfig,
@@ -360,43 +359,10 @@ def _feasibility_scaling(params, trajectory_value, event, box_bound):
 # -- Varadhan tables ----------------------------------------------------------------
 
 
-#: varadhan.csv's header, one column per VaradhanRow value (ci as two)
+#: varadhan.csv's header and the columns of varadhan_gap's table
 VARADHAN_COLUMNS = tuple(
     "epsilon n_paths p_hat ci_low ci_high neg_eps_log_p best_cost".split()
 )
-
-
-@dataclass
-class VaradhanRow:
-    epsilon: float
-    n_paths: int
-    p_hat: float
-    ci: tuple
-    neg_eps_log_p: float
-    best_cost: float
-
-
-@dataclass
-class VaradhanTable:
-    """-eps log p_hat against the best found control cost, per epsilon.
-
-    Monotonicity of the Monte Carlo gap across rows is reported (see trend),
-    never asserted: finite samples wobble.
-    """
-
-    rows: list
-
-    def trend(self) -> np.ndarray:
-        """Successive differences of -eps log p_hat (reported, not asserted)."""
-        vals = np.array([r.neg_eps_log_p for r in self.rows])
-        return np.diff(vals)
-
-    def write_csv(self, path):
-        rows = (
-            [r.epsilon, r.n_paths, r.p_hat, *r.ci, r.neg_eps_log_p, r.best_cost]
-            for r in self.rows
-        )
-        write_csv(VARADHAN_COLUMNS, rows, path)
 
 
 def check_eps_list(eps: list):
@@ -414,9 +380,13 @@ def varadhan_gap(
     family: Optional[ControlFamily] = None,
     master_seed: int = 0,
     n_jobs: int = 1,
-) -> VaradhanTable:
+) -> np.ndarray:
     """Monte Carlo -eps log p_hat rows plus the family's best control cost.
 
+    Returns a float64 array, one row per epsilon, columns in VARADHAN_COLUMNS
+    order: p_hat = 0 gives neg_eps_log_p = inf; best_cost is NaN without a
+    family and inf when no control in it reaches the event.  Rows need not be
+    monotone in epsilon: finite samples wobble.
     eps_list and n_paths are checked before the minimisation runs.
     """
     eps = list(eps_list)
@@ -433,5 +403,5 @@ def varadhan_gap(
             gap = np.inf
         else:
             gap = float(-e * np.log(p))
-        rows.append(VaradhanRow(e, n_paths, p, ci, gap, best_cost))
-    return VaradhanTable(rows)
+        rows.append([e, n_paths, p, *ci, gap, best_cost])
+    return np.array(rows, dtype=np.float64)

@@ -425,10 +425,11 @@ def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
         row[_COL["l4_grad_w"]] = lp_norm(grad_w, 4)
 
 
-def _energy_residual(prev: State, new: State, config: SolverConfig) -> float:
+def _energy_residual(prev: State, new: State, rows, config: SolverConfig) -> float:
     """Trapezoid residual of d|u|^2 + 2 nu |grad u|^2 dt = 2 (theta e_d, u) dt.
 
-    The buoyancy work (P theta e_d, u_mid) is taken as (theta e_d, u_mid):
+    rows are the two states' table rows, whose l2_u it reads.  The
+    buoyancy work (P theta e_d, u_mid) is taken as (theta e_d, u_mid):
     P is self-adjoint and both velocities are solenoidal, so P u_mid = u_mid
     and the step's buoyancy term need not be projected again here.
     """
@@ -437,9 +438,10 @@ def _energy_residual(prev: State, new: State, config: SolverConfig) -> float:
     mid_grad_sq = 0.5 * (parseval_grad_l2(g, c0) ** 2 + parseval_grad_l2(g, c1) ** 2)
     theta = prev.theta.coefficients
     work = 0.5 * (parseval_inner(g, theta, c0[-1]) + parseval_inner(g, theta, c1[-1]))
+    l2_u0, l2_u1 = rows[:, _COL["l2_u"]].tolist()
     return (
-        parseval_l2(g, c1) ** 2
-        - parseval_l2(g, c0) ** 2
+        l2_u1**2
+        - l2_u0**2
         + 2.0 * dt * config.viscosity * mid_grad_sq
         - 2.0 * dt * work
     )
@@ -532,15 +534,15 @@ def run(
     Stopping rules (diagnostics.StoppingRule) are evaluated on the growing
     record, including the initial row.  full_diagnostics=False records light
     rows, for large ensembles: only t, l2_u, l2_theta, h_h0, phi_value, cfl,
-    cfl_violated, div_defect and stop_flag; it refuses tau_R and gamma_R
-    rules, which read the columns it leaves out.
+    cfl_violated, div_defect and stop_flag; every stopping rule reads the
+    columns it leaves out, so it refuses any.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")
-    row_rules = [r.describe() for r in stopping_rules if r.kind in ("tau_R", "gamma_R")]
-    if row_rules and not full_diagnostics:
+    if stopping_rules and not full_diagnostics:
+        names = ", ".join(r.describe() for r in stopping_rules)
         msg = "read full diagnostic rows, which light rows leave NaN"
-        raise ValueError(f"{', '.join(row_rules)} {msg}; pass full_diagnostics=True")
+        raise ValueError(f"{names} {msg}; pass full_diagnostics=True")
     state = initial_state if initial_state is not None else build_initial_state(config)
     state = _prepare_state(state, config)
 
@@ -566,7 +568,9 @@ def run(
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
             row[_COL["div_defect"]] = info["div_defect"]
             if full_diagnostics:
-                row[_COL["energy_residual"]] = _energy_residual(state, new_state, config)
+                row[_COL["energy_residual"]] = _energy_residual(
+                    state, new_state, table[i - 1 : i + 1], config
+                )
             state = new_state
         if observers:
             row_view = record.rows[-1]

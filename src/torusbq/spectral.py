@@ -26,6 +26,10 @@ grad_rms_reaches bounds |grad u|_inf from below without that transform.
 Norms and inner products read from coefficients go through the Parseval
 helpers parseval_l2, parseval_grad_l2 and parseval_inner.  No operator projects
 on its own; the solver checks divergence_defect against DIV_FREE_RTOL once per run.
+
+Every Fourier multiplier lives here, the 2D ones included: the perpendicular
+gradient and divergence (the latter is the scalar vorticity), the Biot-Savart
+inversion of a mean-free vorticity, and the Gaussian mollifier mollify.
 """
 
 from __future__ import annotations
@@ -426,6 +430,24 @@ def perp_div_2d(v: SpectralVectorField) -> SpectralScalarField:
     return SpectralScalarField(g, coeffs=-g.deriv[1] * c[0] + g.deriv[0] * c[1])
 
 
+def biot_savart(w: SpectralScalarField) -> SpectralVectorField:
+    """Mean-free divergence-free velocity with perp_div_2d(u) = w.
+
+    Inverts u = perp-grad of the stream function solving the Poisson problem;
+    the k = 0 velocity is a free parameter on the torus and is set to zero.
+    Rejects vorticity with a nonzero mean (reporting the measured mean).
+    """
+    g = w.grid
+    if g.dimension != 2:
+        raise ValueError("biot_savart requires dimension 2")
+    c = w.coefficients
+    mean = c[g.mode_index((0, 0))]
+    if abs(mean) > 1e-12 * max(sobolev_norm(w, 0), 1e-300):
+        raise ValueError(f"vorticity must be mean-free, measured mean {mean:.3e}")
+    psi = np.where(g.k2_masked == 0.0, 0.0, -c / g.k2_safe)
+    return perp_grad_2d(SpectralScalarField(g, coeffs=psi))
+
+
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """Orthogonal projection onto divergence-free fields.
 
@@ -458,6 +480,22 @@ def galerkin_project(field, cutoff_modes: int):
         np.logical_and, (np.abs(ka) <= cutoff_modes for ka in g.k_axes)
     )
     return field._with_coefficients(field.coefficients * mask)
+
+
+def mollify(field, epsilon: float):
+    """Smooth a scalar or vector field: mode k is scaled by exp(-eps^2 |k|^2).
+
+    The family is linear, commutes with derivatives and the Leray projector
+    (it is diagonal in Fourier), never increases any H^s norm, gains one
+    derivative at cost 1/eps, and converges strongly to the identity as
+    eps -> 0 with |rho_eps f - f|_{s-1} = O(eps).  A sharp spectral cutoff
+    would lose the quantified O(eps) difference bound at the band edge, which
+    is why the multiplier is Gaussian.  Refuses eps unless 0 < eps < inf.
+    """
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    multiplier = np.exp(-(epsilon**2) * field.grid.k2)
+    return field._with_coefficients(multiplier * field.coefficients)
 
 
 def dealias(field):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torusbq.checks import CheckResult
 from torusbq.cli import COMMANDS, main
 from torusbq.io import (
     ConfigError,
@@ -290,6 +291,28 @@ quiet = true
 """
 
 
+VELOCITY_BLOW_UP_CONFIG = """
+[domain]
+dimension = 2
+resolution = 16
+
+[time]
+dt = 0.5
+t_end = 20.0
+
+[physics]
+viscosity = 1e-6
+advection = spectral_rk2
+init_velocity = random
+init_velocity_amplitude = 1e6
+init_temperature = zero
+
+[output]
+directory = {out}
+quiet = true
+"""
+
+
 class TestCli:
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -328,6 +351,42 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stop_reason"].startswith("blow_up:")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_velocity_blow_up_names_component(self, tmp_path, capsys):
+        # spectral_rk2: semi-Lagrangian departure points this large make
+        # scipy's map_coordinates read outside theta, so which field turns
+        # non-finite first would vary from run to run
+        out = tmp_path / "boom"
+        text = VELOCITY_BLOW_UP_CONFIG.format(out=out)
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "blow_up:velocity component 1"
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert len(rows) == 1 + 7
+        last = dict(zip(CSV_COLUMNS, map(float, rows[-1].split(","))))
+        assert last["t"] == 3.0 and last["stop_flag"] == 1.0
+        assert np.isnan(last["phi_value"]) and np.isnan(last["energy_residual"])
+        err = capsys.readouterr().err
+        assert err == "error: numerical blow up in velocity component 1 at t=3\n"
+
+    def test_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        failing = CheckResult("fake_check", False, 2.0, 1.0, "by design")
+        monkeypatch.setattr(
+            "torusbq.cli.run_invariant_battery", lambda config: [failing]
+        )
+        out = tmp_path / "inv"
+        text = SIM_CONFIG.format(out=out).replace("quiet = true", "quiet = false")
+        cfg = write_config(tmp_path, text)
+        assert main(["check-invariants", "--config", str(cfg)]) == 3
+        report = json.loads((out / "invariants.json").read_text())
+        assert [entry["passed"] for entry in report] == [False]
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL fake_check: measured 2.000e+00 (tolerance 1.000e+00) by design\n"
+        )
+        assert captured.err == "error: invariant failure (see invariants.json)\n"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blown_up_ensemble_summary_is_strict_json(self, tmp_path):
@@ -407,23 +466,28 @@ class TestCli:
         assert np.max(np.abs(smoothed.theta.samples - expect)) < 1e-12
 
     @pytest.mark.parametrize(
-        "case, message",
+        "case, epsilon, message",
         [
-            ("missing", "error: snapshot file not found: "),
-            ("short_header", "truncated header (14 < 32 bytes)"),
-            ("negative_epsilon", "error: --epsilon: epsilon must be positive"),
+            ("missing", "0.3", "error: snapshot file not found: "),
+            ("short_header", "0.3", "truncated header (14 < 32 bytes)"),
+            ("negative_epsilon", "-1", "error: --epsilon: epsilon must be positive"),
+            ("nan_epsilon", "nan", "error: --epsilon: epsilon must be positive"),
+            ("inf_epsilon", "inf", "error: --epsilon: epsilon must be positive"),
         ],
-        ids=["missing", "short_header", "negative_epsilon"],
+        ids=[
+            "missing", "short_header", "negative_epsilon", "nan_epsilon", "inf_epsilon"
+        ],
     )
-    def test_mollify_bad_input_exit_one(self, tmp_path, capsys, case, message):
+    def test_mollify_bad_input_exit_one(
+        self, tmp_path, capsys, case, epsilon, message
+    ):
         snap = tmp_path / "in.bqsf"
         if case == "short_header":
             snap.write_bytes(b"BQSF" + bytes([1, 0, 0, 0, 2, 0, 0, 0, 16, 0]))
-        elif case == "negative_epsilon":
+        elif case.endswith("_epsilon"):
             g = Grid(2, 8)
             zero = State(0.0, SpectralVectorField.zero(g), SpectralScalarField.zero(g))
             write_snapshot(zero, snap)
-        epsilon = "-1" if case == "negative_epsilon" else "0.3"
         out = tmp_path / "out"
         argv = ["mollify", "--input", str(snap), "--epsilon", epsilon]
         assert main(argv + ["--out-dir", str(out)]) == 1
@@ -431,9 +495,10 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
-    def test_ldp_mc_outputs(self, tmp_path):
+    def test_ldp_mc_outputs(self, tmp_path, capsys):
         out = tmp_path / "ldp"
-        cfg = write_config(tmp_path, LDP_CONFIG.format(out=out))
+        text = LDP_CONFIG.format(out=out).replace("quiet = true", "quiet = false")
+        cfg = write_config(tmp_path, text)
         assert main(["ldp-mc", "--config", str(cfg)]) == 0
         lines = (out / "varadhan.csv").read_text().splitlines()
         assert (
@@ -441,6 +506,12 @@ class TestCli:
             == "epsilon,n_paths,p_hat,ci_low,ci_high,neg_eps_log_p,best_cost"
         )
         assert len(lines) == 3
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert capsys.readouterr().out.splitlines() == [
+            f"eps={eps:g}: p_hat={p:.4g} -eps*log(p)={gap:.4g} best_cost={cost:.4g}"
+            for eps, _, p, _, _, gap, cost in rows
+        ]
+        assert [row[0] for row in rows] == [0.04, 0.02]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -480,6 +551,12 @@ class TestCli:
             ("physics", "init_velocity", "bogus"),
             ("physics", "init_temperature", "bogus"),
             ("noise", "lambda0", "-1"),
+            # float() parses nan and inf, which every float key refuses
+            ("physics", "viscosity", "nan"),
+            ("physics", "cfl_cap", "nan"),
+            ("time", "dt", "nan"),
+            ("time", "t_end", "inf"),
+            ("physics", "init_velocity_amplitude", "nan"),
         ],
     )
     def test_bad_value_names_key(self, tmp_path, capsys, section, key, value):

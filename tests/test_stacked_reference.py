@@ -23,14 +23,14 @@ from torusbq.spectral import (
     Grid,
     SpectralScalarField,
     SpectralVectorField,
+    biot_savart,
     divergence_defect,
     galerkin_project,
     gradient,
     implicit_diffusion_solve,
     leray_project,
+    mollify,
 )
-from torusbq.diagnostics import biot_savart
-from torusbq.mollifier import MollifierSpec, mollify
 from torusbq.transport import velocity_grad_sup
 
 RTOL = 1e-12
@@ -149,7 +149,7 @@ def test_mollify(grid):
     v = random_field(grid, 8)
     m = np.exp(-(0.3**2) * grid.k2)
     want = [m * ref_coefficients(grid, s) for s in v.samples]
-    got = mollify(v, MollifierSpec(0.3))
+    got = mollify(v, 0.3)
     assert close(got.coefficients, want)
     assert close(got.samples, [ref_samples(grid, c) for c in want])
 

@@ -104,7 +104,9 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     _, used = count_transforms(_diagnostic_row, row, new_state, config, True)
     assert np.isfinite(row[COLUMNS.index("linf_grad_u")])
     assert used == full_row
-    _, used = count_transforms(_energy_residual, state, new_state, config)
+    rows = np.stack([BLANK_ROW, row])
+    _diagnostic_row(rows[0], state, config, False)
+    _, used = count_transforms(_energy_residual, state, new_state, rows, config)
     assert used == 0
 
     # As in solver.run: the next step reuses what that row computed, so it
