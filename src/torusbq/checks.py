@@ -60,13 +60,11 @@ def _random_scalar(grid, seed, kmax=None):
 
 
 def _random_vector(grid, seed, kmax=None):
-    rows = [_random_scalar(grid, seed + i, kmax) for i in range(grid.dimension)]
-    if kmax:
-        # projected rows hold only coefficients: stack those, not re-sampled ones
-        return SpectralVectorField(
-            grid, coeffs=np.stack([r.coefficients for r in rows])
-        )
-    return SpectralVectorField(grid, samples=np.stack([r.samples for r in rows]))
+    """Component i drawn from seed + i, as _random_scalar draws it."""
+    seeds = range(seed, seed + grid.dimension)
+    draws = [np.random.default_rng(s).standard_normal(grid.shape) for s in seeds]
+    v = SpectralVectorField(grid, samples=np.stack(draws))
+    return galerkin_project(v, kmax) if kmax else v
 
 
 def run_invariant_battery(config: SolverConfig) -> list:
@@ -104,11 +102,8 @@ def run_invariant_battery(config: SolverConfig) -> list:
     pp = leray_project(p)
     record("leray_idempotent", np.max(np.abs(p.coefficients - pp.coefficients)), 1e-12)
     resid = v - p
-    inner = abs(
-        sum(
-            np.sum(a * b) * grid.cell_volume for a, b in zip(p.samples, resid.samples)
-        )
-    )
+    per_component = np.sum(p.samples * resid.samples, axis=grid.axes)
+    inner = abs(sum(per_component * grid.cell_volume))
     record("leray_orthogonal", inner / lp_norm(v, 2) ** 2, 1e-12)
 
     if grid.dimension == 2:

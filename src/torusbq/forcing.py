@@ -7,7 +7,9 @@ family in additive mode, or an affine diagonal Nemytskii envelope
 (a0 + a1 u_i + a2 theta) times the same family in multiplicative mode.
 
 The one forcing object is a NoiseModel, which checks once that spectrum and
-intensity retain the same modes; every forcing call takes the model.
+intensity retain the same modes; every forcing call takes the model.  The
+intensity keeps its m modes as one (d, m, *grid) samples stack, in the spectral
+module's stack layout, so a sum or an operator over the modes is one call.
 
 Streams are counter-based (Philox) and keyed by (master seed, path index,
 step index), so ensembles are reproducible in any evaluation order; each
@@ -212,15 +214,12 @@ class NoiseIntensity:
         self.grid = self.base_fields[0].grid
         if any(f.grid != self.grid for f in self.base_fields):
             raise ValueError("base fields live on different grids")
-        # the base fields become views of the one stack the sums read
-        self._stack = np.stack([f.samples for f in self.base_fields])
+        # the base fields become views of the one (d, m, *grid) stack
+        self._stack = np.stack([f.samples for f in self.base_fields], axis=1)
         self.base_fields = tuple(
-            SpectralVectorField(self.grid, samples=s) for s in self._stack
+            SpectralVectorField(self.grid, samples=s)
+            for s in self._stack.swapaxes(0, 1)
         )
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.base_fields)
 
     @property
     def lipschitz_constant(self) -> float:
@@ -231,21 +230,12 @@ class NoiseIntensity:
         return abs(self.a0) + abs(self.a1) + abs(self.a2)
 
     def mode_samples(self, u, theta) -> np.ndarray:
-        """Stacked (n_modes, d, grid) samples of f(u, theta) e_k."""
+        """The (d, m, *grid) samples stack of every f(u, theta) e_k, before
+        projection, from one envelope evaluation (additive: the base stack)."""
         if self.mode == "additive":
             return self._stack
         envelope = self.a0 + self.a1 * u.samples + self.a2 * theta.samples
-        return self._stack * envelope
-
-    def mode_fields(self, u=None, theta=None) -> tuple:
-        """Every f(u, theta) e_k as a vector field (before projection),
-        from one evaluation of the envelope."""
-        if self.mode == "additive":
-            return self.base_fields
-        return tuple(
-            SpectralVectorField(self.grid, samples=s)
-            for s in self.mode_samples(u, theta)
-        )
+        return self._stack * envelope[:, None]
 
 
 def additive_intensity(fields: Sequence[SpectralVectorField]):
@@ -270,9 +260,10 @@ class NoiseModel:
     sqrt_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.intensity.n_fields != self.spec.truncation:
+        n_fields = len(self.intensity.base_fields)
+        if n_fields != self.spec.truncation:
             raise ValueError(
-                f"intensity carries {self.intensity.n_fields} fields but spec "
+                f"intensity carries {n_fields} fields but spec "
                 f"retains {self.spec.truncation} modes"
             )
         self.sqrt_eigenvalues = np.sqrt(self.spec.eigenvalues)
@@ -288,7 +279,7 @@ def weighted_sum(noise: NoiseModel, u, theta, weights) -> SpectralVectorField:
     if weights.shape != noise.sqrt_eigenvalues.shape:
         raise ValueError("one weight per retained mode required")
     stack = noise.intensity.mode_samples(u, theta)
-    summed = np.einsum("m,md...->d...", noise.sqrt_eigenvalues * weights, stack)
+    summed = np.einsum("m,dm...->d...", noise.sqrt_eigenvalues * weights, stack)
     grid = noise.intensity.grid
     return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
 
@@ -299,12 +290,19 @@ def apply_noise(noise: NoiseModel, u, theta, inc: np.ndarray) -> SpectralVectorF
 
 
 def hs_norm(noise: NoiseModel, u, theta, s: int) -> float:
-    """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2)."""
+    """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2).
+
+    One projection of the whole mode stack; the norms are summed mode by
+    mode, each exactly as sobolev_norm gives it for that mode alone.
+    """
+    grid = noise.intensity.grid
+    modes = SpectralVectorField(grid, samples=noise.intensity.mode_samples(u, theta))
+    projected = leray_project(modes).coefficients
     total = 0.0
-    fields = noise.intensity.mode_fields(u, theta)
-    for lam, fe in zip(noise.spec.eigenvalues, fields):
+    for k, lam in enumerate(noise.spec.eigenvalues):
         if lam != 0.0:
-            total += lam * sobolev_norm(leray_project(fe), s) ** 2
+            mode = SpectralVectorField(grid, coeffs=projected[:, k])
+            total += lam * sobolev_norm(mode, s) ** 2
     return float(np.sqrt(total))
 
 

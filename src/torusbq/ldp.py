@@ -135,7 +135,7 @@ def control_cost(h: Control, spec: QWienerSpec, t_end: float) -> float:
             f"control drives {h.n_modes} modes but the spec retains "
             f"{spec.truncation}"
         )
-    if t_end < h.times[0] or h.times[0] > 1e-12:
+    if t_end < h.times[0] or abs(h.times[0]) > 1e-12:
         raise ValueError("control grid must start at 0 within [0, t_end]")
     edges = np.concatenate([h.times, [t_end]])
     durations = np.diff(edges)
@@ -366,8 +366,8 @@ VARADHAN_COLUMNS = tuple(
 
 
 def check_eps_list(eps: list):
-    """Raise ValueError unless eps is strictly decreasing inside (0, 1]."""
-    inside = all(0.0 < e <= 1.0 for e in eps)
+    """Raise ValueError unless eps is nonempty, strictly decreasing inside (0, 1]."""
+    inside = len(eps) > 0 and all(0.0 < e <= 1.0 for e in eps)
     if not inside or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError(f"epsilons must decrease strictly inside (0, 1], got {eps}")
 

@@ -206,7 +206,8 @@ class SolverConfig:
                 raise ValueError(
                     "control coordinates do not match the retained noise modes"
                 )
-            if self.control.times[0] > 1e-12 or self.control.times[-1] > self.t_end + 1e-12:
+            times = self.control.times
+            if abs(times[0]) > 1e-12 or times[-1] > self.t_end + 1e-12:
                 raise ValueError("control time grid must cover [0, t_end]")
 
     @property
@@ -476,9 +477,7 @@ def build_initial_state(config: SolverConfig) -> State:
                 np.zeros(grid.shape),
             )
     else:  # random
-        raw = SpectralVectorField.from_samples(
-            grid, *[rng.standard_normal(grid.shape) for _ in range(grid.dimension)]
-        )
+        raw = SpectralVectorField(grid, rng.standard_normal((grid.dimension,) + grid.shape))
         u = leray_project(galerkin_project(raw, min(grid.n // 3, 8)))
         sup = lp_norm(u, np.inf)
         if sup > 0:

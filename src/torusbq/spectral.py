@@ -17,6 +17,10 @@ coefficients array; a vector field holds one (d, n, ..., n) stack of each, and
 there are no per-component objects: component i is row i of a stack.  Either
 representation is computed from the other on first access by one batched
 scipy.fft call over the spatial axes, and operators work on whole stacks.
+One layout serves every stack of fields: component axis first, batch axes
+next, grid axes last, (d, ..., *grid).  A field may hold such a stack (the
+(d, m, *grid) noise modes, say) and each operator then acts on it slice by
+slice, bitwise as on each field alone; norms sum over the whole stack.
 Fields are immutable: operations return new fields, so a quantity derived
 from a field can be cached on it.  The velocity gradient is one:
 gradient_summary transforms grad u once per velocity field and keeps
@@ -88,7 +92,6 @@ class Grid:
             ka = k.reshape(shape)
             axes.append(ka)
             dk = 1j * ka.astype(np.float64)
-            dk = dk.copy()
             nyq = [slice(None)] * dimension
             nyq[ax] = n // 2
             dk[tuple(nyq)] = 0.0
@@ -152,10 +155,12 @@ class _Field:
     """Samples and coefficients arrays over the trailing d axes of a grid.
 
     The bare constructor stores what it is given, unchecked, as cheaply as
-    possible: a step builds about 15 fields.  Either array is computed from
-    the other on first access and cached, as is a vector field's gradient
-    summary (`_summary`, unused by scalars).  Fields are immutable;
-    arithmetic returns new fields of the same kind.
+    possible: a step builds about 15 fields.  Its arrays may hold a stack in
+    the one layout: a vector field's component axis, any batch axes, then
+    the d grid axes.  Either array is computed from the other on first
+    access and cached, as is a vector field's gradient summary (`_summary`,
+    unused by scalars).  Fields are immutable; arithmetic returns new fields
+    of the same kind.
     """
 
     __slots__ = ("grid", "_samples", "_coeffs", "_summary")
@@ -201,6 +206,23 @@ class _Field:
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
 
+    @classmethod
+    def _shape(cls, grid: Grid) -> tuple:
+        """Shape of one field's arrays."""
+        return grid.shape
+
+    @classmethod
+    def _validated(cls, grid: Grid, array, dtype, what: str) -> np.ndarray:
+        array = np.asarray(array, dtype=dtype)
+        if array.shape != cls._shape(grid):
+            raise ValueError(f"{what} shape {array.shape} != {cls._shape(grid)}")
+        return array
+
+    @classmethod
+    def zero(cls, grid: Grid):
+        shape = cls._shape(grid)
+        return cls(grid, np.zeros(shape), np.zeros(shape, complex))
+
 
 class SpectralScalarField(_Field):
     """Real scalar field with lazily synchronised physical/spectral views.
@@ -214,23 +236,11 @@ class SpectralScalarField(_Field):
 
     @classmethod
     def from_samples(cls, grid: Grid, samples) -> "SpectralScalarField":
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != grid.shape:
-            raise ValueError(f"samples shape {samples.shape} != grid {grid.shape}")
-        return cls(grid, samples=samples)
+        return cls(grid, samples=cls._validated(grid, samples, np.float64, "samples"))
 
     @classmethod
     def from_coefficients(cls, grid: Grid, coeffs) -> "SpectralScalarField":
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != grid.shape:
-            raise ValueError(f"coeffs shape {coeffs.shape} != grid {grid.shape}")
-        return cls(grid, coeffs=coeffs)
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SpectralScalarField":
-        return cls(
-            grid, samples=np.zeros(grid.shape), coeffs=np.zeros(grid.shape, complex)
-        )
+        return cls(grid, coeffs=cls._validated(grid, coeffs, np.complex128, "coeffs"))
 
     def coefficient_at(self, k) -> complex:
         """Single Fourier coefficient u_hat(k) for an integer wavenumber tuple."""
@@ -263,29 +273,18 @@ class SpectralVectorField(_Field):
         return cls.from_sample_stack(grid, np.stack(component_samples))
 
     @classmethod
+    def _shape(cls, grid: Grid) -> tuple:
+        return (grid.dimension,) + grid.shape
+
+    @classmethod
     def from_sample_stack(cls, grid: Grid, samples) -> "SpectralVectorField":
         """Field whose samples are the (d, *grid.shape) stack `samples`."""
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != (grid.dimension,) + grid.shape:
-            raise ValueError(
-                f"samples shape {samples.shape} != {(grid.dimension,) + grid.shape}"
-            )
-        return cls(grid, samples=samples)
+        return cls(grid, samples=cls._validated(grid, samples, np.float64, "samples"))
 
     @classmethod
     def from_coefficient_stack(cls, grid: Grid, coeffs) -> "SpectralVectorField":
         """Field whose coefficients are the (d, *grid.shape) stack `coeffs`."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.dimension,) + grid.shape:
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} != {(grid.dimension,) + grid.shape}"
-            )
-        return cls(grid, coeffs=coeffs)
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SpectralVectorField":
-        shape = (grid.dimension,) + grid.shape
-        return cls(grid, np.zeros(shape), np.zeros(shape, complex))
+        return cls(grid, coeffs=cls._validated(grid, coeffs, np.complex128, "coeffs"))
 
 
 def gradient_summary(u: SpectralVectorField) -> GradientSummary:
@@ -384,10 +383,12 @@ def lp_norm(field, p) -> float:
 
 
 def gradient(field: SpectralScalarField) -> SpectralVectorField:
-    """Spectral gradient; Nyquist modes of each derivative are zeroed."""
+    """Spectral gradient; Nyquist modes of each derivative are zeroed.
+
+    The derivative axis goes in front of whatever stack the field holds."""
     g = field.grid
     c = field.coefficients
-    out = np.empty((g.dimension,) + g.shape, dtype=np.complex128)
+    out = np.empty((g.dimension,) + c.shape, dtype=np.complex128)
     for ax, dk in enumerate(g.deriv):
         np.multiply(dk, c, out=out[ax])
     return SpectralVectorField(g, coeffs=out)
@@ -438,8 +439,7 @@ def biot_savart(w: SpectralScalarField) -> SpectralVectorField:
     Rejects vorticity with a nonzero mean (reporting the measured mean).
     """
     g = w.grid
-    if g.dimension != 2:
-        raise ValueError("biot_savart requires dimension 2")
+    _require_2d(g, "biot_savart")
     c = w.coefficients
     mean = c[g.mode_index((0, 0))]
     if abs(mean) > 1e-12 * max(sobolev_norm(w, 0), 1e-300):
@@ -491,10 +491,17 @@ def mollify(field, epsilon: float):
     eps -> 0 with |rho_eps f - f|_{s-1} = O(eps).  A sharp spectral cutoff
     would lose the quantified O(eps) difference bound at the band edge, which
     is why the multiplier is Gaussian.  Refuses eps unless 0 < eps < inf.
+    An eps whose eps^2 |k|^2 overflows gets the eps -> inf limit, the mean
+    alone, which is what the multiplier rounds to for every eps above 27.3.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    multiplier = np.exp(-(epsilon**2) * field.grid.k2)
+    k2 = field.grid.k2
+    try:
+        with np.errstate(over="raise"):
+            multiplier = np.exp(-(epsilon**2) * k2)
+    except (OverflowError, FloatingPointError):
+        multiplier = np.where(k2 == 0.0, 1.0, 0.0)
     return field._with_coefficients(multiplier * field.coefficients)
 
 

@@ -63,6 +63,16 @@ def _interp_order(scheme: AdvectionScheme) -> int:
 
 
 def _interpolate(samples: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
+    """samples at fractional index coords, wrapped periodically.  A point with
+    a coordinate that is non-finite or at least 2**52 in magnitude, where
+    float64 keeps no fraction and scipy's wrap reads outside the array,
+    samples NaN: a runaway velocity then always stops a run the same way."""
+    valid = np.abs(coords) < 2.0**52
+    if not valid.all():
+        valid = valid.all(axis=0)
+        values = np.full(valid.shape, np.nan)
+        values[valid] = _interpolate(samples, coords[:, valid], order)
+        return values
     return map_coordinates(
         samples, coords, order=order, mode="grid-wrap", prefilter=(order > 1)
     )

@@ -355,9 +355,8 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_velocity_blow_up_names_component(self, tmp_path, capsys):
-        # spectral_rk2: semi-Lagrangian departure points this large make
-        # scipy's map_coordinates read outside theta, so which field turns
-        # non-finite first would vary from run to run
+        # spectral_rk2: with the default semi-Lagrangian transport the
+        # runaway departure points stop the run on the temperature first
         out = tmp_path / "boom"
         text = VELOCITY_BLOW_UP_CONFIG.format(out=out)
         assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 2
@@ -370,6 +369,21 @@ class TestCli:
         assert np.isnan(last["phi_value"]) and np.isnan(last["energy_residual"])
         err = capsys.readouterr().err
         assert err == "error: numerical blow up in velocity component 1 at t=3\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_semi_lagrangian_blow_up_is_reproducible(self, tmp_path):
+        # the same config with the default cubic semi-Lagrangian transport:
+        # runaway departure points sample NaN, so every run stops alike
+        text = VELOCITY_BLOW_UP_CONFIG.format(out=tmp_path / "boom").replace(
+            "advection = spectral_rk2\n", ""
+        )
+        config, _ = parse_config(write_config(tmp_path, text))
+        outcomes = set()
+        for _ in range(30):
+            rec = run(config)
+            outcomes.add((rec.stop_reason, len(rec.column("t"))))
+        assert outcomes == {("blow_up:temperature", 4)}
 
     def test_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         failing = CheckResult("fake_check", False, 2.0, 1.0, "by design")
@@ -495,6 +509,30 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_mollify_huge_epsilon_keeps_the_mean(self, tmp_path, capsys):
+        grid = Grid(2, 8)
+        rng = np.random.default_rng(2)
+        state = State(
+            0.0,
+            SpectralVectorField.from_sample_stack(
+                grid, rng.standard_normal((2,) + grid.shape)
+            ),
+            SpectralScalarField.from_samples(
+                grid, 1.5 + rng.standard_normal(grid.shape)
+            ),
+        )
+        snap = tmp_path / "in.bqsf"
+        write_snapshot(state, snap)
+        out = tmp_path / "mout"
+        argv = ["mollify", "--input", str(snap), "--epsilon", "1e200"]
+        assert main(argv + ["--out-dir", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        smoothed = read_snapshot(out / "state_mollified.bqsf")
+        mean = state.theta.coefficients[0, 0].real
+        assert np.allclose(smoothed.theta.samples, mean, rtol=0, atol=1e-14)
+        u_mean = state.u.coefficients[:, 0, 0].real[:, None, None]
+        assert np.allclose(smoothed.u.samples, u_mean, rtol=0, atol=1e-14)
+
     def test_ldp_mc_outputs(self, tmp_path, capsys):
         out = tmp_path / "ldp"
         text = LDP_CONFIG.format(out=out).replace("quiet = true", "quiet = false")
@@ -527,6 +565,7 @@ class TestCli:
             ("eps_list", "0.01,0.04"),
             ("eps_list", "1.5,0.5"),
             ("eps_list", "0.04,0"),
+            ("eps_list", ","),
         ],
     )
     def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, key, value):
@@ -573,8 +612,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "rows",
-        ["0.05,0,1.0\n", "0.0,0,1.0\n0.06,0,0.5\n"],
-        ids=["late_start", "past_t_end"],
+        ["0.05,0,1.0\n", "0.0,0,1.0\n0.06,0,0.5\n", "-1,0,5.0\n"],
+        ids=["late_start", "past_t_end", "early_start"],
     )
     def test_bad_control_flag_names_key(self, tmp_path, capsys, rows):
         control = tmp_path / "control.csv"

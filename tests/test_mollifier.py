@@ -35,6 +35,17 @@ def test_rejects_nonpositive_epsilon(grid):
             mollify(f, eps)
 
 
+def test_huge_epsilon_keeps_the_mean(grid):
+    # eps^2 overflows at 1e200 and eps^2 |k|^2 at 1e154: both give the
+    # eps -> inf limit, as does the formula itself once it underflows
+    rng = np.random.default_rng(4)
+    f = SpectralScalarField.from_samples(grid, 3.0 + rng.standard_normal(grid.shape))
+    want = np.zeros(grid.shape, complex)
+    want[0, 0] = f.coefficients[0, 0]
+    for eps in (1e200, np.float64(1e200), 1e154, 1e3):
+        assert np.array_equal(mollify(f, eps).coefficients, want)
+
+
 def test_constant_unchanged(grid):
     f = SpectralScalarField.from_samples(grid, np.full(grid.shape, 2.0))
     out = mollify(f, 1.0)

@@ -3,13 +3,17 @@
 Vector fields store one (d, *grid.shape) stack and transform it in one
 batched call.  The references below do the same mathematics the plain way,
 one component and one numpy.fft call at a time, and the stacked results must
-agree to 1e-12 relative.  The last test checks that grad u is transformed
-once per velocity field, however many consumers read it.
+agree to 1e-12 relative.  One test checks that grad u is transformed once per
+velocity field, however many consumers read it.  The last pins the stack
+layout (d, *batch, *grid): every operator on a stack equals, bitwise, the
+operator on each field of it alone.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbq.solver import (
     BLANK_ROW,
@@ -25,11 +29,15 @@ from torusbq.spectral import (
     SpectralVectorField,
     biot_savart,
     divergence_defect,
+    dealias,
+    divergence,
     galerkin_project,
     gradient,
     implicit_diffusion_solve,
     leray_project,
     mollify,
+    perp_div_2d,
+    perp_grad_2d,
 )
 from torusbq.transport import velocity_grad_sup
 
@@ -201,3 +209,51 @@ def test_grad_u_transformed_once_per_state(grid, monkeypatch):
     _diagnostic_row(row, State(0.0, u, theta), config, True)
     assert row[COLUMNS.index("linf_grad_u")] == sup
     assert stacks == [(grid.dimension + 1, grid.dimension) + grid.shape]
+
+
+def _layout_cases(grid, cutoff, eps):
+    """(operator, takes a vector stack) pairs covering the stack-aware operators."""
+    cases = [
+        (leray_project, True),
+        (divergence, True),
+        (lambda f: implicit_diffusion_solve(f, 0.05, 0.7), True),
+        (gradient, False),
+        (gradient, True),
+    ]
+    for takes_vector in (False, True):
+        cases += [
+            (lambda f: galerkin_project(f, cutoff), takes_vector),
+            (dealias, takes_vector),
+            (lambda f: mollify(f, eps), takes_vector),
+        ]
+    if grid.dimension == 2:
+        cases += [(perp_div_2d, True), (perp_grad_2d, False)]
+    return cases
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.sampled_from([4, 8, 16]),
+    batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.05, 2.0),
+)
+def test_operators_act_on_a_stack_slice_by_slice(d, n, batch, seed, eps):
+    grid = Grid(d, n)
+    cutoff = n // 2 - 1  # below n/2, so the truncation is not the identity
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((d,) + batch + grid.shape)
+    scalars = rng.standard_normal(batch + grid.shape)
+    for op, takes_vector in _layout_cases(grid, cutoff, eps):
+        kind = SpectralVectorField if takes_vector else SpectralScalarField
+        samples = vectors if takes_vector else scalars
+        lead = (slice(None),) if takes_vector else ()
+        stacked = op(kind(grid, samples=samples))
+        # the axes a result puts ahead of the batch: none for a scalar, one
+        # for a vector, two for the gradient of a vector
+        out_lead = (slice(None),) * (stacked.coefficients.ndim - len(batch) - d)
+        for idx in np.ndindex(batch):
+            alone = op(kind(grid, samples=samples[lead + idx].copy()))
+            assert np.array_equal(stacked.coefficients[out_lead + idx], alone.coefficients)
+            assert np.array_equal(stacked.samples[out_lead + idx], alone.samples)

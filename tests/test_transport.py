@@ -68,6 +68,18 @@ def test_constant_theta_invariant(scheme):
     assert np.max(np.abs(out.samples - 1.5)) < 1e-13
 
 
+@pytest.mark.parametrize("scheme", [SL_CUBIC, SL_LINEAR], ids=["cubic", "linear"])
+def test_runaway_departure_points_sample_nan(scheme):
+    # departure coordinates near 1e19 have no fractional part left; scipy's
+    # periodic wrap would read outside theta rather than fail
+    grid = make_grid(16)
+    theta = SpectralScalarField.from_samples(
+        grid, np.random.default_rng(0).standard_normal(grid.shape)
+    )
+    out = advect(theta, constant_u(grid, 1e19), 1.0, scheme)
+    assert np.all(np.isnan(out.samples))
+
+
 def test_max_principle_linear_exact():
     grid = make_grid()
     rng = np.random.default_rng(0)
