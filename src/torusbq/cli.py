@@ -51,7 +51,7 @@ from .io import (
 )
 from .ldp import FUNCTIONALS, VARADHAN_COLUMNS, ControlFamily, RareEvent
 from .ldp import check_dimension, check_eps_list, check_n_paths, varadhan_gap
-from .solver import State, run, run_ensemble
+from .solver import State, check_n_jobs, run, run_ensemble
 from .spectral import mollify
 
 EXIT_OK = 0
@@ -157,24 +157,25 @@ def cmd_ensemble(args, config, harness) -> Outcome:
     n_paths = args.paths if args.paths is not None else 8
     if n_paths < 1:
         raise ConfigError(f"--paths: need at least one path, got {n_paths}")
-    functionals = {
-        name: FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS
-    }
-    summary = run_ensemble(
+    functionals = [FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS]
+    table = run_ensemble(
         config, n_paths, harness.seed, functionals, full_diagnostics=False
     )
 
-    blown = int(np.sum(~np.isfinite(summary.values[_ENSEMBLE_FUNCTIONALS[0]])))
+    # sums along each contiguous row are pairwise, as over a lone array
+    mean = table.sum(axis=1) / n_paths
+    variance = ((table - mean[:, None]) ** 2).sum(axis=1) / n_paths
+    blown = int(np.sum(~np.isfinite(table[0])))
     report = {
         "n_paths": n_paths,
         "master_seed": harness.seed,
         "blown_up_paths": blown,
-        "mean": summary.mean,
-        "variance": summary.variance,
-        "max": summary.max,
+        "mean": dict(zip(_ENSEMBLE_FUNCTIONALS, mean.tolist())),
+        "variance": dict(zip(_ENSEMBLE_FUNCTIONALS, variance.tolist())),
+        "max": dict(zip(_ENSEMBLE_FUNCTIONALS, table.max(axis=1).tolist())),
     }
     header = ("path",) + _ENSEMBLE_FUNCTIONALS
-    rows = list(zip(range(n_paths), *(summary.values[n] for n in header[1:])))
+    rows = list(zip(range(n_paths), *table))
     files = {
         "ensemble_paths.csv": partial(write_csv, header, rows),
         "ensemble_summary.json": partial(write_json, report),
@@ -219,6 +220,7 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
         family = ControlFamily(settings.family_blocks, settings.box_bound)
         check_n_paths(n_paths)
         check_eps_list(settings.eps_list)
+        check_n_jobs(settings.n_jobs)
     except ValueError as exc:
         flags = {"[ldp].n_paths": "--paths"} if args.paths is not None else None
         raise config_error(exc, flags) from None

@@ -5,7 +5,8 @@ stretching), which is what the blow-up monitors exploit:
 
 * tau_R fires when |grad u|_inf exceeds R;
 * Gamma_R fires when |w|_{L^2} + |w|_{L^4} + int |grad w|_{L^2} ds (plus the
-  control budget int |h|_{H0} ds in controlled runs) exceeds R.
+  control budget int |h|_{H0} ds in controlled runs) exceeds R; the integral
+  is the trajectory table's int_grad_w_h column, written once per row.
 
 gronwall_record evaluates the log-Gronwall quantities driving the
 no-blow-up argument: Y = 1 + |grad w|_{L^4}^4 + |grad theta|_{L^4}^4, the
@@ -119,14 +120,18 @@ def gronwall_record(state: State, config: SolverConfig) -> GronwallRecord:
 # -- stopping rules -------------------------------------------------------------
 
 
+#: stopping-rule kind -> the table columns whose sum it watches
+RULE_COLUMNS = {"tau_R": ("linf_grad_u",), "gamma_R": ("l2_w", "l4_w", "int_grad_w_h")}
+
+
 @dataclass
 class StoppingRule:
     """First-passage monitor over a trajectory record; two kinds.
 
-    kind "tau_R" watches |grad u|_inf; "gamma_R" watches
-    |w|_{L^2} + |w|_{L^4} + int |grad w|_{L^2} ds + int |h|_{H0} ds with
-    left-endpoint quadrature (the control term vanishes in uncontrolled
-    runs).  Both read full diagnostic rows.  Thresholds are monotone: a
+    kind "tau_R" watches |grad u|_inf; "gamma_R" watches |w|_{L^2} +
+    |w|_{L^4} + int (|grad w|_{L^2} + |h|_{H0}) ds, whose integral is the
+    table column int_grad_w_h, written once per row by solver.run.  Both read
+    full diagnostic rows, fires only the last one.  Thresholds are monotone: a
     larger R never fires earlier on the same path.
     """
 
@@ -134,23 +139,16 @@ class StoppingRule:
     threshold: float
 
     def __post_init__(self):
-        if self.kind not in ("tau_R", "gamma_R"):
+        if self.kind not in RULE_COLUMNS:
             raise ValueError(f"unknown stopping rule kind {self.kind!r}")
 
     def running_values(self, record: TrajectoryRecord) -> np.ndarray:
         """The monitored functional at every recorded time."""
-        if self.kind == "tau_R":
-            return record.column("linf_grad_u")
-        dt = record.dt
-        grad_w = record.column("l2_grad_w")
-        h = record.column("h_h0")
-        integrand = np.nan_to_num(grad_w) + h
-        integral = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * dt])
-        return record.column("l2_w") + record.column("l4_w") + integral
+        return sum(record.column(name) for name in RULE_COLUMNS[self.kind])
 
     def fires(self, record: TrajectoryRecord) -> bool:
         """Whether the functional exceeds the threshold at the last row."""
-        last = self.running_values(record)[-1]
+        last = sum(record.column(name)[-1] for name in RULE_COLUMNS[self.kind])
         return bool(np.isfinite(last) and last > self.threshold)
 
     def describe(self) -> str:

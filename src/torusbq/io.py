@@ -277,6 +277,7 @@ CONFIG_KEYS = {
     "direction": "[ldp].direction",
     "epsilons": "[ldp].eps_list",
     "n_paths": "[ldp].n_paths",
+    "n_jobs": "[ldp].n_jobs",
     "temporal block": "[ldp].family_blocks",
     "box bound": "[ldp].box_bound",
 }

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ from .solver import (
     Control,
     SolverConfig,
     TrajectoryRecord,
+    check_n_jobs,
     run,
     run_ensemble,
 )
@@ -55,32 +58,21 @@ class _TerminalModeAmplitude:
         return parseval_inner(self.grid, self.base_coeffs, c) / self.norm_sq
 
 
-class _RowColumnFunctional:
-    def __init__(self, config, column: str, reduce: str):
-        self.column = column
-        self.reduce = reduce
-
-    def __call__(self, record: TrajectoryRecord) -> float:
-        values = record.column(self.column)
-        if self.reduce == "terminal":
-            return float(values[-1])
-        return float(np.max(values))
+def _column_value(column: str, reduce, config, record: TrajectoryRecord) -> float:
+    """reduce (the last entry or the max) of a table column; config unread."""
+    return float(reduce(record.column(column)))
 
 
-def _column_builder(column, reduce):
-    def build(config, **params):
-        return _RowColumnFunctional(config, column, reduce)
+_LAST = itemgetter(-1)
 
-    return build
-
-
-#: name -> (builder(config, **params) -> functional, needs full diagnostics)
+#: name -> (builder(config, **params) -> functional, needs full diagnostics);
+#: a column builder and its functional are partials of _column_value (picklable)
 FUNCTIONALS = {
     "terminal_mode_amplitude": (_TerminalModeAmplitude, False),
-    "terminal_l2_u": (_column_builder("l2_u", "terminal"), False),
-    "sup_l2_u": (_column_builder("l2_u", "sup"), False),
-    "terminal_l2_theta": (_column_builder("l2_theta", "terminal"), False),
-    "sup_linf_theta": (_column_builder("linf_theta", "sup"), True),
+    "terminal_l2_u": (partial(partial, _column_value, "l2_u", _LAST), False),
+    "sup_l2_u": (partial(partial, _column_value, "l2_u", np.max), False),
+    "terminal_l2_theta": (partial(partial, _column_value, "l2_theta", _LAST), False),
+    "sup_linf_theta": (partial(partial, _column_value, "linf_theta", np.max), True),
 }
 
 
@@ -135,8 +127,6 @@ def control_cost(h: Control, spec: QWienerSpec, t_end: float) -> float:
             f"control drives {h.n_modes} modes but the spec retains "
             f"{spec.truncation}"
         )
-    if t_end < h.times[0] or abs(h.times[0]) > 1e-12:
-        raise ValueError("control grid must start at 0 within [0, t_end]")
     edges = np.concatenate([h.times, [t_end]])
     durations = np.diff(edges)
     if np.any(durations < -1e-12):
@@ -167,7 +157,8 @@ def mc_rare_event(
 ):
     """Crossing-probability estimate with a 95% normal-approximation CI.
 
-    Returns (p_hat, (lo, hi)).  A deterministic configuration (epsilon = 0)
+    Returns (p_hat, (lo, hi)), p_hat the share of run_ensemble's one row (a
+    value per path) in the event.  A deterministic configuration (epsilon = 0)
     is evaluated once and reports exactly 0 or 1; an estimate of exactly zero
     gets the one-sided rule-of-three interval (0, 3/n).
     """
@@ -178,16 +169,16 @@ def mc_rare_event(
         value = functional(run(cfg))
         p = 1.0 if event.realized(value) else 0.0
         return p, (p, p)
-    summary = run_ensemble(
+    (values,) = run_ensemble(
         cfg,
         n_paths,
         master_seed,
-        {event.functional: functional},
+        [functional],
         n_jobs=n_jobs,
         full_diagnostics=event.needs_full_diagnostics,
     )
     # a blown-up path's NaN value realizes neither direction: a miss
-    p = np.count_nonzero(event.realized(summary.values[event.functional])) / n_paths
+    p = np.count_nonzero(event.realized(values)) / n_paths
     if p == 0.0:
         return 0.0, (0.0, 3.0 / n_paths)
     if p == 1.0:
@@ -387,11 +378,12 @@ def varadhan_gap(
     order: p_hat = 0 gives neg_eps_log_p = inf; best_cost is NaN without a
     family and inf when no control in it reaches the event.  Rows need not be
     monotone in epsilon: finite samples wobble.
-    eps_list and n_paths are checked before the minimisation runs.
+    eps_list, n_paths and n_jobs are checked before the minimisation runs.
     """
     eps = list(eps_list)
     check_eps_list(eps)
     check_n_paths(n_paths)
+    check_n_jobs(n_jobs)
     best_cost = np.nan
     if family is not None:
         result = minimize_cost(event, family, config)
@@ -402,6 +394,6 @@ def varadhan_gap(
         if p == 0.0:
             gap = np.inf
         else:
-            gap = float(-e * np.log(p))
+            gap = float(0.0 - e * np.log(p))  # 0, not -0, for a sure event
         rows.append([e, n_paths, p, *ci, gap, best_cost])
     return np.array(rows, dtype=np.float64)

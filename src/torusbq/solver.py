@@ -35,9 +35,10 @@ defect.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+import os
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -114,6 +115,8 @@ class Control:
                 f"control has {len(self.times)} time nodes but "
                 f"{self.samples.shape[0]} sample rows"
             )
+        if abs(self.times[0]) > 1e-12:
+            raise ValueError(f"control time grid must start at 0, got {self.times[0]:g}")
 
     @property
     def n_modes(self) -> int:
@@ -206,8 +209,7 @@ class SolverConfig:
                 raise ValueError(
                     "control coordinates do not match the retained noise modes"
                 )
-            times = self.control.times
-            if abs(times[0]) > 1e-12 or times[-1] > self.t_end + 1e-12:
+            if self.control.times[-1] > self.t_end + 1e-12:
                 raise ValueError("control time grid must cover [0, t_end]")
 
     @property
@@ -349,6 +351,7 @@ COLUMNS = CSV_COLUMNS + (
     "l2_theta",
     "l4_w",
     "l2_grad_w",
+    "int_grad_w_h",
     "div_defect",
     "h_h0",
     "cfl",
@@ -374,9 +377,10 @@ class TrajectoryRecord:
     and 0 for energy_residual, stop_flag, h_h0, cfl and cfl_violated (the
     flags hold 0 or 1); run returns it read-only.  rows is a read-only record
     view of the same memory, for attribute readers (rows[-1].l2_u).
+    int_grad_w_h, Gamma_R's int (|grad w|_{L^2} + |h|_{H0}) ds, is 0 on a 2D
+    full initial row, then the previous row's value plus dt times its integrand.
     """
 
-    dt: float
     values: np.ndarray = dataclass_field(
         default_factory=lambda: np.empty((0, len(COLUMNS)))
     )
@@ -546,11 +550,13 @@ def run(
     state = _prepare_state(state, config)
 
     table = np.repeat(BLANK_ROW[None], config.n_steps + 1, axis=0)
-    record = TrajectoryRecord(dt=config.dt, epsilon=config.epsilon)
+    record = TrajectoryRecord(epsilon=config.epsilon)
     for i, row in enumerate(table):
         record.values = table[: i + 1]
         if i == 0:
             _diagnostic_row(row, state, config, full_diagnostics)
+            if full_diagnostics and config.grid.dimension == 2:
+                row[_COL["int_grad_w_h"]] = 0.0
         else:
             try:
                 new_state, info = step(state, config, stream, i - 1)
@@ -567,8 +573,12 @@ def run(
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
             row[_COL["div_defect"]] = info["div_defect"]
             if full_diagnostics:
+                prev = table[i - 1]
                 row[_COL["energy_residual"]] = _energy_residual(
                     state, new_state, table[i - 1 : i + 1], config
+                )
+                row[_COL["int_grad_w_h"]] = prev[_COL["int_grad_w_h"]] + config.dt * (
+                    prev[_COL["l2_grad_w"]] + prev[_COL["h_h0"]]
                 )
             state = new_state
         if observers:
@@ -586,39 +596,21 @@ def run(
     return record
 
 
-@dataclass
-class EnsembleSummary:
-    """Per-path functional values with order-independent reductions."""
-
-    n_paths: int
-    master_seed: int
-    values: Mapping[str, np.ndarray]
-    mean: Mapping[str, float]
-    variance: Mapping[str, float]
-    max: Mapping[str, float]
+def check_n_jobs(n_jobs: int):
+    """Raise ValueError unless n_jobs is a worker count, at least 1."""
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 
 
-def _reduce_summary(values: Mapping[str, np.ndarray], n_paths, master_seed):
-    mean, var, vmax = {}, {}, {}
-    for name, arr in values.items():
-        m = float(np.sum(arr) / len(arr))  # pairwise summation
-        mean[name] = m
-        var[name] = float(np.sum((arr - m) ** 2) / len(arr))
-        vmax[name] = float(np.max(arr))
-    return EnsembleSummary(n_paths, master_seed, values, mean, var, vmax)
-
-
-def _ensemble_block(args):
-    config, master_seed, paths, functionals, full_diagnostics = args
-    out = {name: np.empty(len(paths)) for name in functionals}
+def _ensemble_block(config, master_seed, functionals, full_diagnostics, paths):
+    out = np.empty((len(functionals), len(paths)))
     for i, p in enumerate(paths):
         rec = run(
             config,
             stream=RandomStream(master_seed, p),
             full_diagnostics=full_diagnostics,
         )
-        for name, fn in functionals.items():
-            out[name][i] = fn(rec)
+        out[:, i] = [fn(rec) for fn in functionals]
     return out
 
 
@@ -626,31 +618,25 @@ def run_ensemble(
     config: SolverConfig,
     n_paths: int,
     master_seed: int,
-    functionals: Mapping[str, Callable[[TrajectoryRecord], float]],
+    functionals: Sequence[Callable[[TrajectoryRecord], float]],
     n_jobs: int = 1,
     full_diagnostics: bool = True,
-) -> EnsembleSummary:
-    """Independent trajectories on per-path streams, reduced deterministically.
+) -> np.ndarray:
+    """Independent trajectories on per-path streams, gathered in path order.
 
-    Values are gathered in path order and summed pairwise, so the summary is
-    independent of worker scheduling.  n_jobs > 1 requires picklable
-    functionals.
+    Returns a (len(functionals), n_paths) float64 array whose row j holds
+    functionals[j] of every path, whatever n_jobs.  n_jobs > 1 needs picklable
+    functionals and starts min(n_jobs, path blocks, usable cores) workers.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    all_paths = np.arange(n_paths)
-    if n_jobs <= 1:
-        blocks, pool = [all_paths], nullcontext()
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    check_n_jobs(n_jobs)
+    block = partial(_ensemble_block, config, master_seed, functionals, full_diagnostics)
+    if n_jobs == 1:
+        return block(np.arange(n_paths))
+    from concurrent.futures import ProcessPoolExecutor
 
-        blocks = [b for b in np.array_split(all_paths, n_jobs * 4) if len(b)]
-        pool = ProcessPoolExecutor(max_workers=n_jobs)
-    tasks = [(config, master_seed, b, functionals, full_diagnostics) for b in blocks]
-    values = {name: np.empty(n_paths) for name in functionals}
-    with pool as executor:
-        mapper = map if executor is None else executor.map
-        for block, result in zip(blocks, mapper(_ensemble_block, tasks)):
-            for name in functionals:
-                values[name][block] = result[name]
-    return _reduce_summary(values, n_paths, master_seed)
+    blocks = np.array_split(np.arange(n_paths), min(4 * n_jobs, n_paths))
+    workers = min(n_jobs, len(blocks), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        return np.concatenate(list(executor.map(block, blocks)), axis=1)

@@ -18,10 +18,14 @@ from torusbq.forcing import (
     multiplicative_intensity,
 )
 from torusbq.solver import (
+    BLANK_ROW,
+    COLUMNS,
+    Control,
     InitialCondition,
     NoiseModel,
     SolverConfig,
     State,
+    TrajectoryRecord,
     run,
 )
 from torusbq.spectral import (
@@ -250,6 +254,54 @@ class TestStopping:
         t_disc = check_stopping(rec, StoppingRule("gamma_R", threshold))
         assert t_disc is not None
         assert abs(t_disc - t_exact) <= 0.05 + 2 * dt
+
+    def test_fires_reads_only_the_last_row(self):
+        # the earlier rows' Gamma terms overflow when summed: a rule that
+        # re-read them would warn (an error under this suite) or see inf
+        values = np.tile(BLANK_ROW, (3, 1))
+        gamma = [COLUMNS.index(name) for name in ("l2_w", "l4_w", "int_grad_w_h")]
+        tau = COLUMNS.index("linf_grad_u")
+        values[:2, gamma + [tau]] = 1e308
+        values[2, gamma] = 1.0
+        values[2, tau] = 3.0
+        record = TrajectoryRecord(values=values)
+        assert StoppingRule("gamma_R", 2.5).fires(record)
+        assert not StoppingRule("gamma_R", 3.5).fires(record)
+        assert StoppingRule("tau_R", 2.5).fires(record)
+        assert not StoppingRule("tau_R", 3.5).fires(record)
+
+    def test_gamma_column_matches_prefix_sums(self):
+        # a controlled noisy run, so both integrands are nonzero: the
+        # column agrees with the prefix sum (cumsum, then times dt) it
+        # replaces, and the rule stops on the same row as that form does
+        grid = Grid(2, 16)
+        spec = default_qwiener(2, 4)
+        noise = NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec)))
+        control = Control([0.0, 0.25], np.linspace(-1.0, 1.0, 8).reshape(2, 4))
+        cfg = SolverConfig(
+            grid=grid,
+            dt=0.01,
+            t_end=0.5,
+            epsilon=0.3,
+            noise=noise,
+            control=control,
+            init=InitialCondition(velocity="taylor_green", temperature="sine"),
+        )
+        rec = run(cfg, stream=RandomStream(3))
+        integrand = rec.column("l2_grad_w") + rec.column("h_h0")
+        prefix = np.concatenate([[0.0], np.cumsum(integrand[:-1]) * cfg.dt])
+        assert rec.column("int_grad_w_h")[0] == 0.0
+        np.testing.assert_allclose(rec.column("int_grad_w_h"), prefix, rtol=1e-14, atol=0)
+        gamma = rec.column("l2_w") + rec.column("l4_w") + prefix
+        rule = StoppingRule("gamma_R", float(np.median(gamma)))
+        first = int(np.argmax(gamma > rule.threshold))
+        assert first > 0
+        assert check_stopping(rec, rule) == rec.column("t")[first]
+        stopped = run(cfg, stream=RandomStream(3), stopping_rules=[rule])
+        assert len(stopped.values) == first + 1
+        assert stopped.stop_reason == rule.describe()
+        light = run(cfg, stream=RandomStream(3), full_diagnostics=False)
+        assert np.all(np.isnan(light.column("int_grad_w_h")))
 
     def test_validation(self):
         with pytest.raises(ValueError):

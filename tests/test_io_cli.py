@@ -195,7 +195,7 @@ class TestSnapshots:
 class TestTimeseries:
     def test_header_and_empty(self, tmp_path):
         path = tmp_path / "ts.csv"
-        write_timeseries(TrajectoryRecord(dt=0.1), path)
+        write_timeseries(TrajectoryRecord(), path)
         lines = path.read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
 
@@ -566,6 +566,8 @@ class TestCli:
             ("eps_list", "1.5,0.5"),
             ("eps_list", "0.04,0"),
             ("eps_list", ","),
+            ("n_jobs", "0"),
+            ("n_jobs", "-2"),
         ],
     )
     def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, key, value):

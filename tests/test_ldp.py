@@ -289,7 +289,7 @@ class TestVaradhan:
             varadhan_gap(toy_config(), event, [0.04], 50, family=ControlFamily(2))
         assert solves[0] == 0
 
-    def test_sure_event_rows(self):
+    def test_sure_event_rows(self, tmp_path):
         cfg = toy_config(
             cutoff_R=0.0,
             init=InitialCondition(temperature="constant", temperature_amplitude=1.0),
@@ -298,7 +298,15 @@ class TestVaradhan:
         table = varadhan_gap(cfg, event, [1e-3, 1e-4], 100, master_seed=3)
         assert table.shape == (2, len(VARADHAN_COLUMNS))
         assert list(table[:, VARADHAN_COLUMNS.index("p_hat")]) == [1.0, 1.0]
-        assert list(table[:, VARADHAN_COLUMNS.index("neg_eps_log_p")]) == [0.0, 0.0]
+        gaps = table[:, VARADHAN_COLUMNS.index("neg_eps_log_p")]
+        assert list(gaps) == [0.0, 0.0]
+        assert not np.any(np.signbit(gaps))  # 0, not -0
+        out = tmp_path / "varadhan.csv"
+        write_csv(VARADHAN_COLUMNS, table.tolist(), out)
+        assert [line.split(",")[5] for line in out.read_text().splitlines()[1:]] == [
+            "0",
+            "0",
+        ]
 
     def test_csv_columns(self, tmp_path):
         cfg = toy_config()

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -513,6 +516,24 @@ class TestGalerkin:
         assert np.max(np.abs(outside)) < 1e-14
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        FakePool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
 class TestEnsemble:
     def test_single_path_matches(self):
         grid = Grid(2, 16)
@@ -523,11 +544,11 @@ class TestEnsemble:
             epsilon=0.2,
             noise=single_mode_noise(grid),
         )
-        functionals = {"terminal_l2": lambda rec: rec.rows[-1].l2_u}
-        summary = run_ensemble(cfg, 1, master_seed=12, functionals=functionals)
+        functionals = [lambda rec: rec.rows[-1].l2_u]
+        table = run_ensemble(cfg, 1, master_seed=12, functionals=functionals)
         direct = run(cfg, stream=RandomStream(12, 0))
-        assert summary.values["terminal_l2"][0] == direct.rows[-1].l2_u
-        assert summary.variance["terminal_l2"] == 0.0
+        assert table.shape == (1, 1) and table.dtype == np.float64
+        assert table[0, 0] == direct.rows[-1].l2_u
 
     def test_parallel_bitwise_equal(self):
         grid = Grid(2, 8)
@@ -539,24 +560,45 @@ class TestEnsemble:
             noise=single_mode_noise(grid),
             init=InitialCondition(velocity="taylor_green", temperature="sine"),
         )
-        functionals = {name: FUNCTIONALS[name][0](cfg) for name in FUNCTIONALS}
+        functionals = [FUNCTIONALS[name][0](cfg) for name in FUNCTIONALS]
         serial = run_ensemble(cfg, 9, 4, functionals)
         parallel = run_ensemble(cfg, 9, 4, functionals, n_jobs=2)
-        for name in functionals:
-            assert np.array_equal(serial.values[name], parallel.values[name])
-        assert (serial.mean, serial.variance, serial.max) == (
-            parallel.mean, parallel.variance, parallel.max
+        assert serial.shape == (len(FUNCTIONALS), 9)
+        assert np.array_equal(serial, parallel)
+
+    def test_pool_workers_capped(self, monkeypatch):
+        # a fake pool: no process is started whatever n_jobs asks for
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "max_workers", [])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        grid = Grid(2, 8)
+        cfg = SolverConfig(
+            grid=grid, dt=0.01, t_end=0.02, init=InitialCondition(velocity="shear")
         )
+        functionals = [lambda rec: rec.rows[-1].l2_u, lambda rec: rec.rows[-1].t]
+        serial = run_ensemble(cfg, 5, 0, functionals)
+        # 5,000 jobs over 5 paths: one worker per path block, capped by the cores
+        assert np.array_equal(run_ensemble(cfg, 5, 0, functionals, n_jobs=5000), serial)
+        assert np.array_equal(run_ensemble(cfg, 5, 0, functionals, n_jobs=2), serial)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert np.array_equal(run_ensemble(cfg, 5, 0, functionals, n_jobs=5000), serial)
+        assert FakePool.max_workers == [3, 2, 5]
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_refuses_fewer_than_one_job(self, n_jobs):
+        cfg = SolverConfig(grid=Grid(2, 8), dt=0.01, t_end=0.02)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_ensemble(cfg, 3, 0, [lambda rec: 0.0], n_jobs=n_jobs)
 
     def test_deterministic_zero_variance(self):
         grid = Grid(2, 16)
         cfg = SolverConfig(
             grid=grid, dt=0.01, t_end=0.05, init=InitialCondition(velocity="shear")
         )
-        summary = run_ensemble(
-            cfg, 4, master_seed=0, functionals={"l2": lambda rec: rec.rows[-1].l2_u}
+        (values,) = run_ensemble(
+            cfg, 4, master_seed=0, functionals=[lambda rec: rec.rows[-1].l2_u]
         )
-        assert summary.variance["l2"] == 0.0
+        assert np.all(values == values[0])
 
     def test_linearised_ou_variance(self):
         # tiny cut-off radius disables the nonlinearity as soon as u != 0;
@@ -573,17 +615,17 @@ class TestEnsemble:
             cutoff_R=1e-12,
             noise=single_mode_noise(grid),
         )
-        summary = run_ensemble(
+        terminal_sq, terminal_w_sq = run_ensemble(
             cfg,
             1000,
             master_seed=77,
-            functionals={
-                "terminal_sq": lambda rec: rec.rows[-1].l2_u ** 2,
-                "terminal_w_sq": lambda rec: (
+            functionals=[
+                lambda rec: rec.rows[-1].l2_u ** 2,
+                lambda rec: (
                     (2 * np.pi) ** 2
                     * np.sum(np.abs(perp_div_2d(rec.final_state.u).coefficients) ** 2)
                 ),
-            },
+            ],
             full_diagnostics=False,
         )
         # discrete OU recursion variance for the (0, 1) mode pair
@@ -593,8 +635,8 @@ class TestEnsemble:
         # |u|_{L^2}^2 = (2 pi)^2 * 2 * |c|^2 * X^2 with field X cos(x2):
         # coefficients at k=(0,±1) are X/2 each
         expect = (2 * np.pi) ** 2 * 0.5 * var_coeff
-        assert abs(summary.mean["terminal_sq"] - expect) <= 0.1 * expect
-        assert abs(summary.mean["terminal_w_sq"] - expect) <= 0.1 * expect
+        assert abs(np.mean(terminal_sq) - expect) <= 0.1 * expect
+        assert abs(np.mean(terminal_w_sq) - expect) <= 0.1 * expect
 
 
 def test_build_initial_state_presets():
