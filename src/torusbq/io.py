@@ -233,6 +233,8 @@ def read_control_csv(path, n_modes: int) -> Control:
                 if len(row) != 3:
                     raise ValueError(f"expected 't,mode,value', got {row!r}")
                 t, mode, value = float(row[0]), int(row[1]), float(row[2])
+                if not (math.isfinite(t) and math.isfinite(value)):
+                    raise ValueError(f"t and value must be finite, got {row!r}")
                 if not 0 <= mode < n_modes:
                     raise ValueError(f"mode {mode} outside [0, {n_modes})")
                 times.add(t)

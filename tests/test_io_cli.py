@@ -1,5 +1,6 @@
 import json
 import hashlib
+import re
 import struct
 from pathlib import Path
 
@@ -116,6 +117,25 @@ class TestControlCsv:
         path = tmp_path / "control.csv"
         path.write_text("0.0,5,1.0\n")
         with pytest.raises(ConfigError, match="mode 5"):
+            read_control_csv(path, 2)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("0,0,inf\n", 1),
+            # a NaN time never equals itself, so its value would be lost
+            ("0,0,1.0\nnan,0,2.0\n", 2),
+            # refused here, not later as a time grid failing to cover t_end
+            ("0,0,1.0\ninf,0,2.0\n", 2),
+        ],
+        ids=["inf-value", "nan-time", "inf-time"],
+    )
+    def test_non_finite_refused(self, tmp_path, rows, line):
+        path = tmp_path / "control.csv"
+        path.write_text(rows)
+        where = re.escape(f"{path}:{line}")
+        match = rf"^\[control\]\.file: {where}: t and value must be finite"
+        with pytest.raises(ConfigError, match=match):
             read_control_csv(path, 2)
 
 
