@@ -11,6 +11,12 @@ intensity retain the same modes; every forcing call takes the model.  The
 intensity keeps its m modes as one (d, m, *grid) samples stack, in the spectral
 module's stack layout, so a sum or an operator over the modes is one call.
 
+An additive force is a fixed linear combination of fixed fields, and P is
+linear, so the model projects each base field once, P f_k, and keeps those
+coefficients on their support only (SUPPORT_RTOL): a weighted sum of them,
+for a noise increment or a control, costs no transform.  A multiplicative
+force depends on the state, so its sum is transformed and projected per call.
+
 Streams are counter-based (Philox) and keyed by (master seed, path index,
 step index), so ensembles are reproducible in any evaluation order; each
 stream reuses one generator, resetting its counter per step.
@@ -19,7 +25,7 @@ stream reuses one generator, resetting its counter per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -250,14 +256,63 @@ def multiplicative_intensity(
     )
 
 
+#: A projected coefficient of an additive intensity is kept only when its
+#: magnitude exceeds SUPPORT_RTOL times the largest one of the stack.  Off a
+#: single Fourier mode's support the transform leaves rounding of at most
+#: ~2e-16 of the peak; the cut sits some 500 times above that, so rounding
+#: never widens the support, while a genuine coefficient it drops is below
+#: 1e-13 of the peak, well inside any tolerance a sum of the modes is held to.
+SUPPORT_RTOL = 1e-13
+
+
+def _projected_support(intensity: NoiseIntensity):
+    """(support, projected): the flat grid positions where some P f_k has a
+    coefficient above SUPPORT_RTOL times the stack's peak, and the (d, m, S)
+    coefficients of every P f_k there, those below the threshold set to 0.
+
+    One base field is transformed and projected at a time, so no dense
+    (d, m, *grid) coefficient stack is built.  Each mode first keeps the
+    positions above SUPPORT_RTOL times its own peak, a superset of its final
+    support, since the stack's peak is at least the mode's.
+    """
+    grid = intensity.grid
+    d = grid.dimension
+    kept = []
+    peak = 0.0
+    for base in intensity.base_fields:
+        # a new field, so the coefficients are not cached on the base field
+        fresh = SpectralVectorField(grid, samples=base.samples)
+        coeffs = leray_project(fresh).coefficients.reshape(d, -1)
+        magnitude = np.abs(coeffs).max(axis=0)
+        mode_peak = float(magnitude.max())
+        positions = np.flatnonzero(magnitude > SUPPORT_RTOL * mode_peak)
+        kept.append((positions, coeffs[:, positions]))
+        peak = max(peak, mode_peak)
+    support = np.unique(np.concatenate([positions for positions, _ in kept]))
+    projected = np.zeros((d, len(kept), support.size), dtype=np.complex128)
+    for k, (positions, coeffs) in enumerate(kept):
+        projected[:, k, np.searchsorted(support, positions)] = coeffs
+    projected[np.abs(projected) <= SUPPORT_RTOL * peak] = 0.0
+    nonzero = np.any(projected != 0.0, axis=(0, 1))
+    return support[nonzero], projected[:, :, nonzero]
+
+
 @dataclass
 class NoiseModel:
     """Covariance spectrum plus the intensity mapping its modes to force
-    fields; the mode counts are checked here, once, and sqrt(lambda_k) kept."""
+    fields; the mode counts are checked here, once, and sqrt(lambda_k) kept.
+
+    An additive intensity also keeps its projected base fields P f_k on their
+    support (see _projected_support): `support` holds flat grid positions and
+    `projected` the (d, m, len(support)) coefficients there.  Both are None
+    for a multiplicative intensity, whose fields follow the state.
+    """
 
     spec: QWienerSpec
     intensity: NoiseIntensity
     sqrt_eigenvalues: np.ndarray = field(init=False, repr=False)
+    support: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    projected: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n_fields = len(self.intensity.base_fields)
@@ -267,21 +322,32 @@ class NoiseModel:
                 f"retains {self.spec.truncation} modes"
             )
         self.sqrt_eigenvalues = np.sqrt(self.spec.eigenvalues)
+        if self.intensity.mode == "additive":
+            self.support, self.projected = _projected_support(self.intensity)
 
 
 def weighted_sum(noise: NoiseModel, u, theta, weights) -> SpectralVectorField:
     """Leray projection of sum_k sqrt(lambda_k) weights_k f(u, theta) e_k.
 
     The common core of the stochastic forcing (weights = Brownian increments)
-    and the control drift (weights = control coordinates in H0).
+    and the control drift (weights = control coordinates in H0).  Additive:
+    one einsum over the stored P f_k, scattered into a zero coefficient stack,
+    with no transform.  Multiplicative: the samples are summed, transformed
+    once and projected.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != noise.sqrt_eigenvalues.shape:
         raise ValueError("one weight per retained mode required")
-    stack = noise.intensity.mode_samples(u, theta)
-    summed = np.einsum("m,dm...->d...", noise.sqrt_eigenvalues * weights, stack)
+    scaled = noise.sqrt_eigenvalues * weights
     grid = noise.intensity.grid
-    return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
+    if noise.intensity.mode == "multiplicative":
+        stack = noise.intensity.mode_samples(u, theta)
+        summed = np.einsum("m,dm...->d...", scaled, stack)
+        return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
+    d = grid.dimension
+    coeffs = np.zeros((d, grid.n**d), dtype=np.complex128)
+    coeffs[:, noise.support] = np.einsum("m,dms->ds", scaled, noise.projected)
+    return SpectralVectorField(grid, coeffs=coeffs.reshape((d,) + grid.shape))
 
 
 def apply_noise(noise: NoiseModel, u, theta, inc: np.ndarray) -> SpectralVectorField:

@@ -20,6 +20,7 @@ from torusbq.spectral import (
     SpectralScalarField,
     SpectralVectorField,
     divergence,
+    galerkin_project,
     leray_project,
     lp_norm,
     sobolev_norm,
@@ -165,7 +166,9 @@ class TestApplyNoise:
         inc = np.array([0.7])
         a = apply_noise(NoiseModel(spec, fa), u, theta, inc)
         b = apply_noise(NoiseModel(spec, fm), u, theta, inc)
-        assert np.array_equal(a.samples, b.samples)
+        # additive sums stored projected coefficients, multiplicative projects
+        # the transformed sum: the two paths round differently
+        np.testing.assert_allclose(a.samples, b.samples, rtol=0, atol=1e-15)
 
     def test_mode_count_mismatch(self, grid):
         f = additive_intensity([cos_x2_field(grid)])
@@ -186,6 +189,91 @@ class TestApplyNoise:
         inc = sample_increment(spec, 0.1, RandomStream(3))
         out = apply_noise(NoiseModel(spec, f), u, theta, inc)
         assert lp_norm(divergence(out), 2) < 1e-12 * (1 + sobolev_norm(out, 1))
+
+
+def samples_path_sum(noise, weights):
+    """The reference: sum the (d, m, *grid) samples, transform, project."""
+    summed = np.einsum(
+        "m,dm...->d...", noise.sqrt_eigenvalues * weights, noise.intensity._stack
+    )
+    grid = noise.intensity.grid
+    return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
+
+
+def ou_toy_noise():
+    grid = Grid(2, 8)
+    return NoiseModel(single_mode_spec(), additive_intensity([cos_x2_field(grid)]))
+
+
+def default_noise(dimension, n, n_modes=8):
+    grid = Grid(dimension, n)
+    spec = default_qwiener(dimension, n_modes)
+    return NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec)))
+
+
+def dense_noise():
+    # random, not divergence-free fields: every coefficient is signal
+    grid = Grid(2, 16)
+    rng = np.random.default_rng(21)
+    fields = [
+        SpectralVectorField.from_sample_stack(grid, rng.standard_normal((2, 16, 16)))
+        for _ in range(5)
+    ]
+    spec = QWienerSpec(
+        tuple(((0, k), "cos") for k in range(5)), rng.uniform(0.1, 2.0, 5)
+    )
+    return NoiseModel(spec, additive_intensity(fields))
+
+
+class TestAdditiveCoefficients:
+    """Additive weighted sums from stored projected coefficients, against the
+    samples path (sum, transform, project) every multiplicative sum takes."""
+
+    @pytest.mark.parametrize(
+        "build, galerkin",
+        [
+            (lambda: default_noise(2, 32), None),
+            (lambda: default_noise(3, 16), None),
+            (ou_toy_noise, None),
+            (lambda: default_noise(2, 16, 12), 4),
+            (dense_noise, None),
+        ],
+        ids=["2d-32", "3d-16", "ou-toy", "galerkin-16", "dense-16"],
+    )
+    def test_matches_samples_path(self, build, galerkin):
+        noise = build()
+        rng = np.random.default_rng(3)
+        u, theta = zero_state(noise.intensity.grid)
+        for _ in range(4):
+            weights = rng.standard_normal(noise.spec.truncation)
+            got = weighted_sum(noise, u, theta, weights)
+            want = samples_path_sum(noise, weights)
+            if galerkin is not None:
+                got = galerkin_project(got, galerkin)
+                want = galerkin_project(want, galerkin)
+            peak = np.max(np.abs(want.coefficients))
+            gap = np.max(np.abs(got.coefficients - want.coefficients))
+            assert gap <= 1e-15 * peak
+
+    def test_support_follows_the_modes(self):
+        # 8 default modes (the mean and cos/sin pairs of 4 wavenumbers) sit
+        # on 9 grid positions, whatever the resolution
+        for dimension, n in ((2, 32), (3, 16)):
+            noise = default_noise(dimension, n)
+            assert noise.support.size == 9
+            assert noise.projected.shape == (dimension, 8, 9)
+        # a dense family keeps every position
+        assert dense_noise().support.size == 16 * 16
+
+    def test_zero_intensity_gives_zero_force(self, grid):
+        noise = NoiseModel(
+            single_mode_spec(), additive_intensity([SpectralVectorField.zero(grid)])
+        )
+        assert noise.support.size == 0
+        u, theta = zero_state(grid)
+        out = weighted_sum(noise, u, theta, np.array([0.8]))
+        assert not np.any(out.coefficients)
+        assert out.coefficients.shape == (2, 16, 16)
 
 
 class TestHsNorm:

@@ -130,45 +130,45 @@ GOLDEN = {
         "invariants.json": "c1380b50a2bc1a54721694afda661b176d09be32e33478f91bb7dc4b5a7f6c17",
     },
     "ensemble": {
-        "ensemble_paths.csv": "b32a13ff0c426eac278682d9d623ea67845ee43fc0a0e48c431575cec95e8351",
-        "ensemble_summary.json": "60353eecb6415275377f849ae37a2b11b566866c882ce0551be2471dea9fe456",
+        "ensemble_paths.csv": "e9a8c85ec7f44988ebaa70718f9aca0181402c9bd496f3e66dda63d7dc7906a7",
+        "ensemble_summary.json": "054193a6d17ec35c96a8d5b5bef9b848d94b44863c7f2773cdccde4092e250f1",
     },
     "ldp-mc": {
-        "varadhan.csv": "05145f78b1ada393f082e2ac38dc7c2fd21e735197130ad0a8fd55c3ca663474",
+        "varadhan.csv": "17c9e56004969072b9e951500581473581e95d1c1c1da6165681f84a8a675410",
     },
     "mollify": {
         "state_mollified.bqsf": "19aa3655fa5c7ac729f7b287f6cfbd9db423ec3fe33da90e10c710f9eb621e83",
     },
     "simulate": {
-        "state_final.bqsf": "be364290a03fb11cff00b24c35cabb78b326550979faa7baaa12a9e15cf125d3",
-        "timeseries.csv": "c842d47b7fcd1cafcb245ee61284432df99fab0e3fe601b20d1d7ef044b3d9cd",
+        "state_final.bqsf": "bb4ce9771df7a2fdf9d2c8a4205eaa214bb3910d9a69142749a113669d4b1cf3",
+        "timeseries.csv": "f221409e0b5eb7082162137c2ce32b558e21d2b4d42c5768515534968776361e",
     },
     "simulate-3d": {
-        "state_final.bqsf": "5cdc4559bb4f6f67b1042d21aec5fb26f6b8244824b38e6c5a38fcebfbfa2d12",
-        "timeseries.csv": "c18a08a669d770d3559470cffaa01f5075baf5e4847a0a9006acfa24171bc692",
+        "state_final.bqsf": "408d5eeaddf16970cf432b62b7740cd8069260acb7b420f587011152b1bd8cde",
+        "timeseries.csv": "2ba5ac3a3441b4a7cbcbb3d14492af9155d7fcb4b7c948b78f4ebab4458f0cdf",
     },
     "simulate-blow-up": {
         "state_final.bqsf": "dfddf5555a23c467bf1e8179fbcbb00f5ba570cb766ab733f9391712a4f153a1",
         "timeseries.csv": "34a9b5a0929349d4c49f576f9ff81df77bebccbb54a3844118d8380c734b745a",
     },
     "simulate-galerkin": {
-        "state_final.bqsf": "08c794739104708d7f698c8082e6226a7153afc0f4320cd046437d265d0ad9f5",
-        "timeseries.csv": "a8b04df912d20e8e11c171f762bfe7f49dc186bfdbc02b15fcb1a1f0177e438f",
+        "state_final.bqsf": "cec6186dc7fda8298e6a6859c2c7ba618700ed94239e54e346a46bad7401f489",
+        "timeseries.csv": "0f453fedf24f5f6d55432317965d71bb8aa074ca2391d1d68938a00beff3465a",
     },
     "simulate-linear-sl": {
-        "state_final.bqsf": "059d9853a22c15fb63b608f82c4891d6daba6826f0bd431d351ba2d49c0a107e",
-        "timeseries.csv": "f828eda5966d90f351d4b9a026a4b6580a283a395c864c6f2e4f69deeecc626e",
+        "state_final.bqsf": "7d7a3d4a8dfcd54055d3d102b45fb66044854c1e44c3e58b3e8605b0fcfe78ac",
+        "timeseries.csv": "d02c521bd0c71d08f559f3a98e5429cb4a2e63659b5754e446121f3188a53ee4",
     },
     "simulate-multiplicative-cutoff": {
         "state_final.bqsf": "55fb1756e6b1c4d69539a5309872e728d5f0fda56f6d3eb603073055940923de",
         "timeseries.csv": "528f73369d577cc3b4ca3a124f7d0b74afc9519b2306ca45c90e44bf6b29f52a",
     },
     "simulate-spectral-rk2": {
-        "state_final.bqsf": "c760e49508de23d1e9da30aa71d2ac21c1ce30faee66fee0a889262093462912",
-        "timeseries.csv": "548bdcb548785a42c905e662c5523775b87d2f83d0765c7765a534206762ada5",
+        "state_final.bqsf": "14adfd482ff4abd2b32add7a29afdbdc2fea717b3588fc939fd4ac65de4351b2",
+        "timeseries.csv": "51fd7afc0f8ab93540a4af3c3680e2cc6172a0b042ee9cd66812b9ab96d98ba6",
     },
     "skeleton-control": {
-        "state_final.bqsf": "5e41558cecb9e376dcbf82ee16e4e70369b44d6c517aba9f68ad6f233d5b946e",
+        "state_final.bqsf": "94e1b1fbcde58a92d07c41f719bef63c41c16bcf81345fabcd285c54e80a02db",
         "timeseries.csv": "79b183189ea4d84824dbe6878894c366b2a09034f309e9346d4197639066ddf9",
     },
 }
@@ -180,7 +180,7 @@ TERMINAL = {
     },
     "ldp-mc": {
         "varadhan.csv:p_hat": 0.225,
-        "varadhan.csv:best_cost": 0.006502814497197858,
+        "varadhan.csv:best_cost": 0.006502814505451948,
     },
     "simulate": {
         "timeseries.csv:l2_u": 4.097464401743136,
@@ -191,7 +191,7 @@ TERMINAL = {
     "simulate-3d": {
         "timeseries.csv:l2_u": 7.063374644761244,
         "timeseries.csv:hs_u": 6.920933340666862,
-        "timeseries.csv:linf_theta": 0.9999995395861059,
+        "timeseries.csv:linf_theta": 0.999999539586106,
     },
     "simulate-blow-up": {
         "timeseries.csv:t": 4.5,

@@ -18,6 +18,7 @@ from torusbq.forcing import (
     additive_intensity,
     default_mode_fields,
     default_qwiener,
+    multiplicative_intensity,
 )
 from torusbq.solver import (
     BLANK_ROW,
@@ -60,11 +61,12 @@ def count_transforms(monkeypatch):
     return measure
 
 
-def noisy_cutoff_config(dimension, n):
-    """Additive noise at epsilon > 0 and a cut-off that stays at phi = 1."""
+def noisy_cutoff_config(dimension, n, intensity=additive_intensity):
+    """Noise (additive by default) at epsilon > 0 and a cut-off that stays at
+    phi = 1."""
     grid = Grid(dimension, n)
     spec = default_qwiener(dimension, 4)
-    noise = NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec)))
+    noise = NoiseModel(spec, intensity(default_mode_fields(grid, spec)))
     return SolverConfig(
         grid=grid,
         dt=0.01,
@@ -77,10 +79,10 @@ def noisy_cutoff_config(dimension, n):
 
 
 #: (dimension, n) -> (step on a fresh state, full row of the stepped state,
-#: step on a state whose full row was taken)
+#: step on a state whose full row was taken), with additive noise
 BUDGET = {
-    (2, 32): (4, 5, 2),
-    (3, 16): (4, 3, 2),
+    (2, 32): (3, 5, 1),
+    (3, 16): (3, 3, 1),
 }
 
 
@@ -91,7 +93,8 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     stream = RandomStream(5)
 
     # A fresh state: the step itself transforms grad u (with the samples of u),
-    # theta for the buoyancy term, the advection product and the noise sum.
+    # theta for the buoyancy term and the advection product.  The additive
+    # noise sum is summed from stored projected coefficients, untransformed.
     state = _prepare_state(build_initial_state(config), config)
     (new_state, info), used = count_transforms(step, state, config, stream, 0)
     assert info["phi"] == 1.0
@@ -110,9 +113,24 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     assert used == 0
 
     # As in solver.run: the next step reuses what that row computed, so it
-    # transforms only the advection product and the noise sum.
+    # transforms only the advection product.
     _, used = count_transforms(step, new_state, config, stream, 1)
     assert used == warm_step
+
+
+@pytest.mark.parametrize("dimension,n", sorted(BUDGET))
+def test_multiplicative_step_transforms_its_noise_sum(count_transforms, dimension, n):
+    # The multiplicative envelope follows the state, so each step transforms
+    # its noise sum: one transform more than the additive budget.
+    fresh_step, _, warm_step = BUDGET[(dimension, n)]
+    config = noisy_cutoff_config(dimension, n, multiplicative_intensity)
+    stream = RandomStream(5)
+    state = _prepare_state(build_initial_state(config), config)
+    (new_state, _), used = count_transforms(step, state, config, stream, 0)
+    assert used == fresh_step + 1
+    _diagnostic_row(BLANK_ROW.copy(), new_state, config, True)
+    _, used = count_transforms(step, new_state, config, stream, 1)
+    assert used == warm_step + 1
 
 
 def test_saturated_cutoff_light_steps(count_transforms):
@@ -134,18 +152,18 @@ def test_saturated_cutoff_light_steps(count_transforms):
     stream = RandomStream(5)
     state = _prepare_state(build_initial_state(config), config)
 
-    # From u = 0 the step transforms grad u, the advection product and the
-    # noise sum (theta = 0 has no buoyancy term).
+    # From u = 0 the step transforms grad u and the advection product (theta
+    # = 0 has no buoyancy term; the additive noise sum needs no transform).
     (state, info), used = count_transforms(step, state, config, stream, 0)
     assert info["phi"] == 1.0
-    assert used == 3
+    assert used == 2
 
     # Later steps with light rows: the Parseval RMS of grad u settles
-    # phi = 0, so only the noise sum is transformed; the rows need none.
+    # phi = 0, so nothing is transformed; the rows need none either.
     for j in range(1, config.n_steps):
         (state, info), used = count_transforms(step, state, config, stream, j)
         assert info["phi"] == 0.0
-        assert used == 1
+        assert used == 0
         row = BLANK_ROW.copy()
         _, used = count_transforms(_diagnostic_row, row, state, config, False)
         assert used == 0
