@@ -29,10 +29,11 @@ step that way.
 
 The momentum terms transformed per step are thus grad u (with the samples of
 u) unless cached or settled by the RMS bound, theta for a nonzero buoyancy
-term, the advection product while phi != 0, and a multiplicative noise sum,
-whose envelope follows the state.  An additive noise increment and the
-control drift P f h need none: forcing.weighted_sum sums them from the noise
-model's stored projected coefficients.
+term, the advection product while phi != 0, and, for a multiplicative
+intensity, whose envelope follows the state, the noise sum and the control
+drift P f h.  With an additive intensity those two need no transform:
+forcing.weighted_sum sums them from the noise model's stored projected
+coefficients.
 
 Solenoidality is checked once per run, on the initial velocity: every term
 added to u is Leray-projected, so step only reports each new velocity's

@@ -191,11 +191,10 @@ class TestApplyNoise:
         assert lp_norm(divergence(out), 2) < 1e-12 * (1 + sobolev_norm(out, 1))
 
 
-def samples_path_sum(noise, weights):
+def samples_path_sum(noise, u, theta, weights):
     """The reference: sum the (d, m, *grid) samples, transform, project."""
-    summed = np.einsum(
-        "m,dm...->d...", noise.sqrt_eigenvalues * weights, noise.intensity._stack
-    )
+    stack = noise.intensity.mode_samples(u, theta)
+    summed = np.einsum("m,dm...->d...", noise.sqrt_eigenvalues * weights, stack)
     grid = noise.intensity.grid
     return leray_project(SpectralVectorField.from_sample_stack(grid, summed))
 
@@ -247,7 +246,7 @@ class TestAdditiveCoefficients:
         for _ in range(4):
             weights = rng.standard_normal(noise.spec.truncation)
             got = weighted_sum(noise, u, theta, weights)
-            want = samples_path_sum(noise, weights)
+            want = samples_path_sum(noise, u, theta, weights)
             if galerkin is not None:
                 got = galerkin_project(got, galerkin)
                 want = galerkin_project(want, galerkin)
