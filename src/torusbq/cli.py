@@ -202,30 +202,28 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
             "[control].file: ldp-mc estimates the uncontrolled law; a controlled "
             "estimate would need Girsanov weights, which ldp-mc does not compute"
         )
-    settings = harness.ldp
-    if not np.isfinite(settings.threshold):
+    ldp = harness.ldp
+    if not np.isfinite(ldp["threshold"]):
         raise ConfigError("[ldp].threshold: a finite threshold is required for ldp-mc")
     if config.noise is None:
         raise ConfigError("[noise].mode: ldp-mc needs an active [noise] section")
     params = {}
-    if settings.functional == "terminal_mode_amplitude":
-        params["mode_index"] = settings.mode_index
-    n_paths = args.paths if args.paths is not None else settings.n_paths
+    if ldp["functional"] == "terminal_mode_amplitude":
+        params["mode_index"] = ldp["mode_index"]
+    n_paths = args.paths if args.paths is not None else ldp["n_paths"]
     try:
         check_dimension(config)
-        event = RareEvent(
-            settings.functional, settings.threshold, settings.direction, params
-        )
+        event = RareEvent(ldp["functional"], ldp["threshold"], ldp["direction"], params)
         event.build(config)  # the functional checks its own parameters
-        family = ControlFamily(settings.family_blocks, settings.box_bound)
+        family = ControlFamily(ldp["family_blocks"], ldp["box_bound"])
         check_n_paths(n_paths)
-        check_eps_list(settings.eps_list)
-        check_n_jobs(settings.n_jobs)
+        check_eps_list(ldp["eps_list"])
+        check_n_jobs(ldp["n_jobs"])
     except ValueError as exc:
         flags = {"[ldp].n_paths": "--paths"} if args.paths is not None else None
         raise config_error(exc, flags) from None
     table = varadhan_gap(
-        config, event, settings.eps_list, n_paths, family, harness.seed, settings.n_jobs
+        config, event, ldp["eps_list"], n_paths, family, harness.seed, ldp["n_jobs"]
     )
     lines = [
         f"eps={eps:g}: p_hat={p_hat:.4g} -eps*log(p)={gap:.4g} best_cost={cost:.4g}"

@@ -358,16 +358,15 @@ def apply_noise(noise: NoiseModel, u, theta, inc: np.ndarray) -> SpectralVectorF
 def hs_norm(noise: NoiseModel, u, theta, s: int) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2).
 
-    One projection of the whole mode stack; the norms are summed mode by
-    mode, each exactly as sobolev_norm gives it for that mode alone.
+    Each mode is projected and normed alone, exactly as sobolev_norm gives
+    it for that mode, so one mode's coefficients are held at a time.
     """
     grid = noise.intensity.grid
-    modes = SpectralVectorField(grid, samples=noise.intensity.mode_samples(u, theta))
-    projected = leray_project(modes).coefficients
+    modes = noise.intensity.mode_samples(u, theta)
     total = 0.0
     for k, lam in enumerate(noise.spec.eigenvalues):
         if lam != 0.0:
-            mode = SpectralVectorField(grid, coeffs=projected[:, k])
+            mode = leray_project(SpectralVectorField(grid, samples=modes[:, k]))
             total += lam * sobolev_norm(mode, s) ** 2
     return float(np.sqrt(total))
 

@@ -1,10 +1,12 @@
 """Every file format a run reads or writes, each encoded in one place.
 
 The run configuration is one INI-style file with sections [domain], [physics],
-[time], [noise], [control], [output] and [ldp]; unknown keys are errors (see
-DEFAULTS for the full schema).  Each value is checked once, by the constructor
-of the object that holds it, and CONFIG_KEYS names the INI key of every
-configuration error those constructors raise.  Controls are CSV rows
+[time], [noise], [control], [output] and [ldp]; unknown keys are errors.
+SCHEMA holds one row per key: its type, its default, the constructor argument
+it sets and the word that constructor's error messages use for it.  Each value
+is checked once, by the constructor of the object that holds it, and
+CONFIG_KEYS names the INI key of every configuration error those constructors
+raise.  Controls are CSV rows
 (t, mode, value).  Snapshots are a fixed little-endian binary layout, one
 header ("BQSF" magic, see _snapshot_header) and then the real-space samples of
 every field.  write_csv encodes every output CSV (timeseries.csv,
@@ -62,116 +64,123 @@ class SnapshotError(ValueError):
 
 # -- configuration ---------------------------------------------------------------
 
-# section -> key -> (type tag, default); None default means required
-DEFAULTS = {
+# section -> key -> (type, default, "group.argument", error word or None).
+# A None default means the key is required; defaults are used as they stand,
+# not parsed.  The grid, noise, scheme, init, config and harness groups are
+# each one constructor's keyword arguments (see _solver_config and
+# parse_config), control holds the control file and ldp becomes harness.ldp.
+# The error word is the word the constructor's error messages use for the key
+# (see CONFIG_KEYS).
+SCHEMA = {
     "domain": {
-        "dimension": ("int", None),
-        "resolution": ("int", None),
+        "dimension": ("int", None, "grid.dimension", "dimension"),
+        "resolution": ("int", None, "grid.n", "resolution"),
     },
     "physics": {
-        "sobolev_index": ("int", -1),  # -1: ceil(d/2 + 2)
-        "viscosity": ("float", 1.0),
-        "cutoff_R": ("float", 0.0),
-        "galerkin_modes": ("int", 0),  # 0: full resolution
-        "advection": ("str", "semi_lagrangian"),
-        "interpolation": ("str", "cubic"),
-        "cfl_cap": ("float", 1.0),
-        "init_velocity": ("str", "zero"),
-        "init_velocity_amplitude": ("float", 1.0),
-        "init_temperature": ("str", "zero"),
-        "init_temperature_amplitude": ("float", 1.0),
-        "init_seed": ("int", 0),
+        # -1: ceil(d/2 + 2)
+        "sobolev_index": ("int", -1, "config.s", "sobolev index"),
+        "viscosity": ("float", 1.0, "config.viscosity", "viscosity"),
+        "cutoff_R": ("float", 0.0, "config.cutoff_R", "cutoff_R"),
+        # 0: full resolution
+        "galerkin_modes": ("int", 0, "config.galerkin_modes", "galerkin_modes"),
+        "advection": ("str", "semi_lagrangian", "scheme.kind", "advection"),
+        "interpolation": ("str", "cubic", "scheme.interpolation", "interpolation"),
+        "cfl_cap": ("float", 1.0, "config.cfl_cap", None),
+        "init_velocity": ("str", "zero", "init.velocity", "velocity preset"),
+        "init_velocity_amplitude": ("float", 1.0, "init.velocity_amplitude", None),
+        "init_temperature": ("str", "zero", "init.temperature", "temperature preset"),
+        "init_temperature_amplitude": (
+            "float", 1.0, "init.temperature_amplitude", None
+        ),
+        "init_seed": ("int", 0, "init.seed", "init seed"),
     },
     "time": {
-        "dt": ("float", None),
-        "t_end": ("float", None),
+        "dt": ("float", None, "config.dt", "dt"),
+        "t_end": ("float", None, "config.t_end", "t_end"),
     },
     "noise": {
-        "mode": ("str", "off"),
-        "epsilon": ("float", 0.0),
-        "n_modes": ("int", 8),
-        "gamma": ("float", 2.0),
-        "lambda0": ("float", 1.0),
-        "amplitude": ("float", 1.0),
-        "include_mean_mode": ("bool", True),
-        "a0": ("float", 1.0),
-        "a1": ("float", 0.0),
-        "a2": ("float", 0.0),
+        "mode": ("str", "off", "noise.mode", "noise mode"),
+        "epsilon": ("float", 0.0, "config.epsilon", "epsilon"),
+        "n_modes": ("int", 8, "noise.n_modes", "n_modes"),
+        "gamma": ("float", 2.0, "noise.gamma", None),
+        # gamma cannot make an eigenvalue negative, lambda0 (the mean mode's) can
+        "lambda0": ("float", 1.0, "noise.lambda0", "eigenvalues"),
+        "amplitude": ("float", 1.0, "noise.amplitude", None),
+        "include_mean_mode": ("bool", True, "noise.include_mean", None),
+        "a0": ("float", 1.0, "noise.a0", None),
+        "a1": ("float", 0.0, "noise.a1", None),
+        "a2": ("float", 0.0, "noise.a2", None),
     },
     "control": {
-        "file": ("str", ""),
+        "file": ("str", "", "control.file", "control"),
     },
     "output": {
-        "directory": ("str", "out"),
-        "timeseries": ("bool", True),
-        "snapshot_final": ("bool", True),
-        "quiet": ("bool", False),
-        "seed": ("int", 0),
+        "directory": ("path", Path("out"), "harness.out_dir", None),
+        "timeseries": ("bool", True, "harness.write_timeseries", None),
+        "snapshot_final": ("bool", True, "harness.snapshot_final", None),
+        "quiet": ("bool", False, "harness.quiet", None),
+        "seed": ("int", 0, "harness.seed", None),
     },
     "ldp": {
-        "functional": ("str", "terminal_mode_amplitude"),
-        "mode_index": ("int", 0),
-        "threshold": ("float", math.nan),
-        "direction": ("str", "ge"),
-        "eps_list": ("str", "0.04,0.02,0.01"),
-        "n_paths": ("int", 1000),
-        "family_blocks": ("int", 4),
-        "box_bound": ("float", 10.0),
-        "n_jobs": ("int", 1),
+        "functional": (
+            "str", "terminal_mode_amplitude", "ldp.functional", "functional"
+        ),
+        "mode_index": ("int", 0, "ldp.mode_index", "mode_index"),
+        "threshold": ("float", math.nan, "ldp.threshold", None),
+        "direction": ("str", "ge", "ldp.direction", "direction"),
+        "eps_list": ("floats", (0.04, 0.02, 0.01), "ldp.eps_list", "epsilons"),
+        "n_paths": ("int", 1000, "ldp.n_paths", "n_paths"),
+        "family_blocks": ("int", 4, "ldp.family_blocks", "temporal block"),
+        "box_bound": ("float", 10.0, "ldp.box_bound", "box bound"),
+        "n_jobs": ("int", 1, "ldp.n_jobs", "n_jobs"),
     },
 }
 
 
 @dataclass
-class LdpSettings:
-    functional: str
-    mode_index: int
-    threshold: float
-    direction: str
-    eps_list: list
-    n_paths: int
-    family_blocks: int
-    box_bound: float
-    n_jobs: int
-
-
-@dataclass
 class HarnessSettings:
-    """Everything outside the solver proper: output, seed, LDP study knobs."""
+    """Everything outside the solver proper: output, seed, LDP study knobs
+    (ldp maps each [ldp] key's argument name to its value)."""
 
     out_dir: Path
     write_timeseries: bool = True
     snapshot_final: bool = True
     quiet: bool = False
     seed: Optional[int] = 0
-    ldp: Optional[LdpSettings] = None
+    ldp: Optional[dict] = None
     config_bytes: bytes = b""
 
 
-def _convert(section: str, key: str, kind: str, raw: str):
-    where = f"[{section}].{key}"
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float" and not math.isfinite(float(raw)):
-            raise ValueError(raw)  # float() parses nan and inf; no key takes them
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except ValueError:
-        kind = "finite float" if kind == "float" else kind
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)  # float() parses nan and inf; no key takes them
+    return value
+
+
+def _floats(raw: str) -> list:
+    return [float(x) for x in raw.split(",") if x.strip()]
+
+
+#: 1/0, true/false, yes/no and on/off
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+#: type -> (parser of the raw text, which configparser strips, and its name)
+_TYPES = {
+    "int": (int, "int"),
+    "float": (_finite_float, "finite float"),
+    "bool": (lambda raw: _BOOLEANS[raw.lower()], "bool"),
+    "floats": (_floats, "comma-separated floats"),
+    "str": (str, "str"),
+    "path": (Path, "path"),
+}
 
 
 def _read_sections(path: Path) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+    """group -> {argument: value} for every SCHEMA row: the parsed value of
+    each key the file sets, the default of every other."""
+    # a default section no file can name, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys are case-sensitive (cutoff_R)
     try:
         with open(path) as fh:
@@ -181,39 +190,41 @@ def _read_sections(path: Path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
 
-    values = {}
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in DEFAULTS[section]:
+        for key in parser.options(section):
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key [{section}].{key}")
-            kind, _ = DEFAULTS[section][key]
-            values[(section, key)] = _convert(section, key, kind, raw)
-    for section, keys in DEFAULTS.items():
-        for key, (kind, default) in keys.items():
-            if (section, key) in values:
-                continue
-            if default is None:
+    groups = {}
+    for section, rows in SCHEMA.items():
+        for key, (kind, default, target, _) in rows.items():
+            group, argument = target.split(".")
+            value = default
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                parse, name = _TYPES[kind]
+                try:
+                    value = parse(raw)
+                except (ValueError, KeyError):
+                    msg = f"[{section}].{key}: cannot parse {raw!r} as {name}"
+                    raise ConfigError(msg) from None
+            elif default is None:
                 raise ConfigError(f"missing required key [{section}].{key}")
-            values[(section, key)] = default
-    return values
+            groups.setdefault(group, {})[argument] = value
+    return groups
 
 
-def _build_noise(values, grid) -> Optional[NoiseModel]:
-    mode = values[("noise", "mode")]
+def _build_noise(
+    grid, mode, n_modes, gamma, lambda0, include_mean, amplitude, a0, a1, a2
+) -> Optional[NoiseModel]:
     if mode == "off":
         return None
     spec = default_qwiener(
-        grid.dimension,
-        values[("noise", "n_modes")],
-        gamma=values[("noise", "gamma")],
-        lambda0=values[("noise", "lambda0")],
-        include_mean=values[("noise", "include_mean_mode")],
+        grid.dimension, n_modes, gamma=gamma, lambda0=lambda0, include_mean=include_mean
     )
-    fields = default_mode_fields(grid, spec, amplitude=values[("noise", "amplitude")])
-    envelope = ("a0", "a1", "a2") if mode == "multiplicative" else ()
-    coefficients = [values[("noise", a)] for a in envelope]
+    fields = default_mode_fields(grid, spec, amplitude=amplitude)
+    coefficients = (a0, a1, a2) if mode == "multiplicative" else ()
     return NoiseModel(spec, NoiseIntensity(mode, tuple(fields), *coefficients))
 
 
@@ -237,6 +248,8 @@ def read_control_csv(path, n_modes: int) -> Control:
                     raise ValueError(f"t and value must be finite, got {row!r}")
                 if not 0 <= mode < n_modes:
                     raise ValueError(f"mode {mode} outside [0, {n_modes})")
+                if (t, mode) in entries:
+                    raise ValueError(f"duplicate row for t={t}, mode {mode}")
                 times.add(t)
                 entries[(t, mode)] = value
     except FileNotFoundError:
@@ -256,32 +269,10 @@ def read_control_csv(path, n_modes: int) -> Control:
 #: The word each constructor's error message names (the first one in the
 #: message wins), and the INI key that sets it.
 CONFIG_KEYS = {
-    "dimension": "[domain].dimension",
-    "resolution": "[domain].resolution",
-    "sobolev index": "[physics].sobolev_index",
-    "cutoff_R": "[physics].cutoff_R",
-    "viscosity": "[physics].viscosity",
-    "galerkin_modes": "[physics].galerkin_modes",
-    "advection": "[physics].advection",
-    "interpolation": "[physics].interpolation",
-    "velocity preset": "[physics].init_velocity",
-    "temperature preset": "[physics].init_temperature",
-    "dt": "[time].dt",
-    "t_end": "[time].t_end",
-    "noise mode": "[noise].mode",
-    "epsilon": "[noise].epsilon",
-    "n_modes": "[noise].n_modes",
-    # gamma cannot make an eigenvalue negative, lambda0 (the mean mode's) can
-    "eigenvalues": "[noise].lambda0",
-    "control": "[control].file",
-    "functional": "[ldp].functional",
-    "mode_index": "[ldp].mode_index",
-    "direction": "[ldp].direction",
-    "epsilons": "[ldp].eps_list",
-    "n_paths": "[ldp].n_paths",
-    "n_jobs": "[ldp].n_jobs",
-    "temporal block": "[ldp].family_blocks",
-    "box bound": "[ldp].box_bound",
+    word: f"[{section}].{key}"
+    for section, rows in SCHEMA.items()
+    for key, (_, _, _, word) in rows.items()
+    if word is not None
 }
 _KEY_WORD = re.compile(r"\b(%s)\b" % "|".join(CONFIG_KEYS))
 
@@ -298,39 +289,25 @@ def config_error(exc: ValueError, flags=None) -> ConfigError:
     return ConfigError(f"{key}: {msg}" if key else msg)
 
 
-def _solver_config(values) -> SolverConfig:
-    grid = Grid(values[("domain", "dimension")], values[("domain", "resolution")])
-    noise = _build_noise(values, grid)
+def _solver_config(groups) -> SolverConfig:
+    grid = Grid(**groups["grid"])
+    noise = _build_noise(grid, **groups["noise"])
     control = None
-    control_file = values[("control", "file")]
+    control_file = groups["control"]["file"]
     if control_file:
         if noise is None:
             raise ConfigError("[control].file: a control needs an active [noise]")
         control = read_control_csv(control_file, noise.spec.truncation)
-    s = values[("physics", "sobolev_index")]
-    gal = values[("physics", "galerkin_modes")]
+    config = groups["config"]
+    config["s"] = None if config["s"] < 0 else config["s"]
+    config["galerkin_modes"] = config["galerkin_modes"] or None
     return SolverConfig(
         grid=grid,
-        dt=values[("time", "dt")],
-        t_end=values[("time", "t_end")],
-        s=None if s < 0 else s,
-        cutoff_R=values[("physics", "cutoff_R")],
-        galerkin_modes=None if gal == 0 else gal,
-        epsilon=values[("noise", "epsilon")],
-        viscosity=values[("physics", "viscosity")],
         noise=noise,
         control=control,
-        scheme=AdvectionScheme(
-            values[("physics", "advection")], values[("physics", "interpolation")]
-        ),
-        cfl_cap=values[("physics", "cfl_cap")],
-        init=InitialCondition(
-            velocity=values[("physics", "init_velocity")],
-            velocity_amplitude=values[("physics", "init_velocity_amplitude")],
-            temperature=values[("physics", "init_temperature")],
-            temperature_amplitude=values[("physics", "init_temperature_amplitude")],
-            seed=values[("physics", "init_seed")],
-        ),
+        scheme=AdvectionScheme(**groups["scheme"]),
+        init=InitialCondition(**groups["init"]),
+        **config,
     )
 
 
@@ -342,42 +319,16 @@ def parse_config(path, control_file: Optional[str] = None) -> tuple:
     offending [section].key.
     """
     path = Path(path)
-    values = _read_sections(path)
+    groups = _read_sections(path)
     if control_file:
-        values[("control", "file")] = control_file
+        groups["control"]["file"] = control_file
     try:
-        config = _solver_config(values)
+        config = _solver_config(groups)
     except ValueError as exc:
         raise config_error(exc) from None
-
-    raw_eps = values[("ldp", "eps_list")]
-    try:
-        eps_list = [float(x) for x in raw_eps.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"[ldp].eps_list: cannot parse {raw_eps!r} as comma-separated floats"
-        ) from None
-    ldp = LdpSettings(
-        functional=values[("ldp", "functional")],
-        mode_index=values[("ldp", "mode_index")],
-        threshold=values[("ldp", "threshold")],
-        direction=values[("ldp", "direction")],
-        eps_list=eps_list,
-        n_paths=values[("ldp", "n_paths")],
-        family_blocks=values[("ldp", "family_blocks")],
-        box_bound=values[("ldp", "box_bound")],
-        n_jobs=values[("ldp", "n_jobs")],
+    return config, HarnessSettings(
+        **groups["harness"], ldp=groups["ldp"], config_bytes=path.read_bytes()
     )
-    harness = HarnessSettings(
-        out_dir=Path(values[("output", "directory")]),
-        write_timeseries=values[("output", "timeseries")],
-        snapshot_final=values[("output", "snapshot_final")],
-        quiet=values[("output", "quiet")],
-        seed=values[("output", "seed")],
-        ldp=ldp,
-        config_bytes=path.read_bytes(),
-    )
-    return config, harness
 
 
 # -- snapshots ---------------------------------------------------------------------

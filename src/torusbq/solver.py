@@ -154,6 +154,8 @@ class InitialCondition:
             raise ValueError(f"unknown velocity preset {self.velocity!r}")
         if self.temperature not in ("zero", "constant", "sine", "random"):
             raise ValueError(f"unknown temperature preset {self.temperature!r}")
+        if self.seed < 0:
+            raise ValueError(f"init seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -9,7 +9,10 @@ import pytest
 
 from torusbq.checks import CheckResult
 from torusbq.cli import COMMANDS, main
+from torusbq.forcing import default_qwiener
 from torusbq.io import (
+    CONFIG_KEYS,
+    SCHEMA,
     ConfigError,
     SnapshotError,
     parse_config,
@@ -88,9 +91,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[physics\].vorticity"):
             parse_config(write_config(tmp_path, text))
 
-    def test_unknown_section_rejected(self, tmp_path):
-        text = MINIMAL + "\n[turbulence]\nq = 1\n"
-        with pytest.raises(ConfigError, match=r"\[turbulence\]"):
+    @pytest.mark.parametrize(
+        "section, body",
+        [
+            ("turbulence", "q = 1"),
+            # configparser would copy [DEFAULT]'s keys into every section
+            ("DEFAULT", "seed = 3\nviscosity = 0.5"),
+        ],
+        ids=["turbulence", "DEFAULT"],
+    )
+    def test_unknown_section_rejected(self, tmp_path, section, body):
+        text = MINIMAL + f"\n[{section}]\n{body}\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             parse_config(write_config(tmp_path, text))
 
     def test_missing_required(self, tmp_path):
@@ -103,6 +115,140 @@ class TestParseConfig:
         text = MINIMAL.replace("dt = 0.01", "dt = soon")
         with pytest.raises(ConfigError, match=r"\[time\].dt"):
             parse_config(write_config(tmp_path, text))
+
+
+def _spec(config):
+    return config.noise.spec.modes, config.noise.spec.eigenvalues.tolist()
+
+
+def _default_spec(**changed):
+    spec = default_qwiener(2, changed.pop("n_modes", 8), **changed)
+    return spec.modes, spec.eigenvalues.tolist()
+
+
+#: (section, key) -> (a valid value the base file below does not set, what
+#: reads it back from parse_config's (config, harness), the value expected)
+ROW_CASES = {
+    ("domain", "dimension"): ("3", lambda c, h: c.grid.dimension, 3),
+    ("domain", "resolution"): ("8", lambda c, h: c.grid.n, 8),
+    ("physics", "sobolev_index"): ("2", lambda c, h: c.s, 2),
+    ("physics", "viscosity"): ("0.5", lambda c, h: c.viscosity, 0.5),
+    ("physics", "cutoff_R"): ("3", lambda c, h: c.cutoff_R, 3.0),
+    ("physics", "galerkin_modes"): ("4", lambda c, h: c.galerkin_modes, 4),
+    ("physics", "advection"): (
+        "spectral_rk2", lambda c, h: c.scheme.kind, "spectral_rk2"
+    ),
+    ("physics", "interpolation"): (
+        "linear", lambda c, h: c.scheme.interpolation, "linear"
+    ),
+    ("physics", "cfl_cap"): ("0.25", lambda c, h: c.cfl_cap, 0.25),
+    ("physics", "init_velocity"): ("shear", lambda c, h: c.init.velocity, "shear"),
+    ("physics", "init_velocity_amplitude"): (
+        "2.5", lambda c, h: c.init.velocity_amplitude, 2.5
+    ),
+    ("physics", "init_temperature"): (
+        "sine", lambda c, h: c.init.temperature, "sine"
+    ),
+    ("physics", "init_temperature_amplitude"): (
+        "3.5", lambda c, h: c.init.temperature_amplitude, 3.5
+    ),
+    ("physics", "init_seed"): ("7", lambda c, h: c.init.seed, 7),
+    ("time", "dt"): ("0.025", lambda c, h: c.dt, 0.025),
+    ("time", "t_end"): ("0.1", lambda c, h: c.t_end, 0.1),
+    ("noise", "mode"): ("additive", lambda c, h: c.noise.intensity.mode, "additive"),
+    ("noise", "epsilon"): ("0.5", lambda c, h: c.epsilon, 0.5),
+    ("noise", "n_modes"): ("3", lambda c, h: _spec(c), _default_spec(n_modes=3)),
+    ("noise", "gamma"): ("1.5", lambda c, h: _spec(c), _default_spec(gamma=1.5)),
+    ("noise", "lambda0"): ("0.25", lambda c, h: _spec(c), _default_spec(lambda0=0.25)),
+    ("noise", "include_mean_mode"): (
+        "false", lambda c, h: _spec(c), _default_spec(include_mean=False)
+    ),
+    # the mean mode's base field is amplitude * (1, 0) everywhere
+    ("noise", "amplitude"): (
+        "2.0", lambda c, h: c.noise.intensity.base_fields[0].samples[0, 0, 0], 2.0
+    ),
+    ("noise", "a0"): ("0.5", lambda c, h: c.noise.intensity.a0, 0.5),
+    ("noise", "a1"): ("0.75", lambda c, h: c.noise.intensity.a1, 0.75),
+    ("noise", "a2"): ("1.25", lambda c, h: c.noise.intensity.a2, 1.25),
+    ("control", "file"): (
+        "control.csv", lambda c, h: c.control.samples[0].tolist(), [0.0, 0.75] + [0] * 6
+    ),
+    ("output", "directory"): ("elsewhere", lambda c, h: h.out_dir, Path("elsewhere")),
+    ("output", "timeseries"): ("false", lambda c, h: h.write_timeseries, False),
+    ("output", "snapshot_final"): ("false", lambda c, h: h.snapshot_final, False),
+    ("output", "quiet"): ("true", lambda c, h: h.quiet, True),
+    ("output", "seed"): ("11", lambda c, h: h.seed, 11),
+    ("ldp", "functional"): (
+        "terminal_l2_u", lambda c, h: h.ldp["functional"], "terminal_l2_u"
+    ),
+    ("ldp", "mode_index"): ("2", lambda c, h: h.ldp["mode_index"], 2),
+    ("ldp", "threshold"): ("0.05", lambda c, h: h.ldp["threshold"], 0.05),
+    ("ldp", "direction"): ("le", lambda c, h: h.ldp["direction"], "le"),
+    ("ldp", "eps_list"): ("0.5, 0.25", lambda c, h: h.ldp["eps_list"], [0.5, 0.25]),
+    ("ldp", "n_paths"): ("50", lambda c, h: h.ldp["n_paths"], 50),
+    ("ldp", "family_blocks"): ("3", lambda c, h: h.ldp["family_blocks"], 3),
+    ("ldp", "box_bound"): ("5", lambda c, h: h.ldp["box_bound"], 5.0),
+    ("ldp", "n_jobs"): ("2", lambda c, h: h.ldp["n_jobs"], 2),
+}
+
+
+#: every SCHEMA row, as (section, key)
+ROWS = [(section, key) for section in SCHEMA for key in SCHEMA[section]]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section, key", ROWS)
+    def test_row_reaches_its_argument(self, tmp_path, monkeypatch, section, key):
+        # a row whose target names the wrong argument sets some other field
+        value, read, expected = ROW_CASES[(section, key)]
+        sections = {
+            "domain": {"dimension": "2", "resolution": "16"},
+            "time": {"dt": "0.01", "t_end": "0.05"},
+            "noise": {"mode": "multiplicative"},
+        }
+        sections.setdefault(section, {})[key] = value
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        )
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "control.csv").write_text("t,mode,value\n0,1,0.75\n")
+        config, harness = parse_config(write_config(tmp_path, text))
+        assert read(config, harness) == expected
+
+    def test_every_row_has_a_case(self):
+        assert set(ROW_CASES) == set(ROWS)
+
+    def test_config_keys(self):
+        # the 25 words of the hand-written table, and the initial seed's
+        assert CONFIG_KEYS == {
+            "dimension": "[domain].dimension",
+            "resolution": "[domain].resolution",
+            "sobolev index": "[physics].sobolev_index",
+            "cutoff_R": "[physics].cutoff_R",
+            "viscosity": "[physics].viscosity",
+            "galerkin_modes": "[physics].galerkin_modes",
+            "advection": "[physics].advection",
+            "interpolation": "[physics].interpolation",
+            "velocity preset": "[physics].init_velocity",
+            "temperature preset": "[physics].init_temperature",
+            "init seed": "[physics].init_seed",
+            "dt": "[time].dt",
+            "t_end": "[time].t_end",
+            "noise mode": "[noise].mode",
+            "epsilon": "[noise].epsilon",
+            "n_modes": "[noise].n_modes",
+            "eigenvalues": "[noise].lambda0",
+            "control": "[control].file",
+            "functional": "[ldp].functional",
+            "mode_index": "[ldp].mode_index",
+            "direction": "[ldp].direction",
+            "epsilons": "[ldp].eps_list",
+            "n_paths": "[ldp].n_paths",
+            "n_jobs": "[ldp].n_jobs",
+            "temporal block": "[ldp].family_blocks",
+            "box bound": "[ldp].box_bound",
+        }
 
 
 class TestControlCsv:
@@ -135,6 +281,15 @@ class TestControlCsv:
         path.write_text(rows)
         where = re.escape(f"{path}:{line}")
         match = rf"^\[control\]\.file: {where}: t and value must be finite"
+        with pytest.raises(ConfigError, match=match):
+            read_control_csv(path, 2)
+
+    def test_duplicate_row_refused(self, tmp_path):
+        # the second row's value used to replace the first's without a word
+        path = tmp_path / "control.csv"
+        path.write_text("t,mode,value\n0,0,1.0\n0.5,1,3.0\n0.0,0,2.0\n")
+        where = re.escape(f"{path}:4")
+        match = rf"^\[control\]\.file: {where}: duplicate row for t=0.0, mode 0$"
         with pytest.raises(ConfigError, match=match):
             read_control_csv(path, 2)
 
@@ -618,6 +773,7 @@ class TestCli:
             ("time", "dt", "nan"),
             ("time", "t_end", "inf"),
             ("physics", "init_velocity_amplitude", "nan"),
+            ("physics", "init_seed", "-1"),
         ],
     )
     def test_bad_value_names_key(self, tmp_path, capsys, section, key, value):
