@@ -6,7 +6,7 @@ the tolerance it was judged against, so a failing report says by how much.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,11 +238,3 @@ def run_invariant_battery(config: SolverConfig) -> list:
     )
 
     return results
-
-
-def report_lines(results) -> list:
-    return [r.line() for r in results]
-
-
-def as_json(results) -> list:
-    return [asdict(r) for r in results]

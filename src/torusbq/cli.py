@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import as_json, report_lines, run_invariant_battery
+from .checks import run_invariant_battery
 from .forcing import RandomStream
 from .io import (
     ConfigError,
@@ -41,7 +42,6 @@ from .io import (
     RunManifest,
     SnapshotError,
     config_error,
-    config_hash,
     parse_config,
     read_snapshot,
     write_csv,
@@ -95,6 +95,9 @@ def _load(args):
         harness.seed = args.seed
     if args.out_dir is not None:
         harness.out_dir = Path(args.out_dir)
+    if harness.out_dir.exists() and not harness.out_dir.is_dir():
+        source = "--out-dir" if args.out_dir is not None else "[output].directory"
+        raise ConfigError(f"{source}: {harness.out_dir} exists and is not a directory")
     if args.quiet:
         harness.quiet = True
     return config, harness
@@ -106,7 +109,7 @@ def _write_outputs(outcome: Outcome, harness: HarnessSettings, started: str) -> 
     out_dir = harness.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        config_hash=config_hash(harness.config_bytes),
+        config_hash=hashlib.sha256(harness.config_bytes).hexdigest(),
         master_seed=harness.seed,
         started=started,
         stop_reason=outcome.stop_reason,
@@ -162,9 +165,7 @@ def cmd_ensemble(args, config, harness) -> Outcome:
         config, n_paths, harness.seed, functionals, full_diagnostics=False
     )
 
-    # sums along each contiguous row are pairwise, as over a lone array
-    mean = table.sum(axis=1) / n_paths
-    variance = ((table - mean[:, None]) ** 2).sum(axis=1) / n_paths
+    mean, variance = table.mean(axis=1), table.var(axis=1)
     blown = int(np.sum(~np.isfinite(table[0])))
     report = {
         "n_paths": n_paths,
@@ -189,11 +190,13 @@ def cmd_ensemble(args, config, harness) -> Outcome:
 
 def cmd_check_invariants(args, config, harness) -> Outcome:
     results = run_invariant_battery(config)
-    files = {"invariants.json": partial(write_json, as_json(results))}
+    report = [dataclasses.asdict(r) for r in results]
+    files = {"invariants.json": partial(write_json, report)}
+    lines = [r.line() for r in results]
     if all(r.passed for r in results):
-        return Outcome(files, report_lines(results))
+        return Outcome(files, lines)
     error = "invariant failure (see invariants.json)"
-    return Outcome(files, report_lines(results), error=error, code=EXIT_INVARIANT)
+    return Outcome(files, lines, error=error, code=EXIT_INVARIANT)
 
 
 def cmd_ldp_mc(args, config, harness) -> Outcome:

@@ -142,10 +142,6 @@ class StoppingRule:
         if self.kind not in RULE_COLUMNS:
             raise ValueError(f"unknown stopping rule kind {self.kind!r}")
 
-    def running_values(self, record: TrajectoryRecord) -> np.ndarray:
-        """The monitored functional at every recorded time."""
-        return sum(record.column(name) for name in RULE_COLUMNS[self.kind])
-
     def fires(self, record: TrajectoryRecord) -> bool:
         """Whether the functional exceeds the threshold at the last row."""
         last = sum(record.column(name)[-1] for name in RULE_COLUMNS[self.kind])
@@ -157,7 +153,7 @@ class StoppingRule:
 
 def check_stopping(record: TrajectoryRecord, rule: StoppingRule) -> Optional[float]:
     """First recorded time the rule's running functional exceeds its threshold."""
-    values = rule.running_values(record)
+    values = sum(record.column(name) for name in RULE_COLUMNS[rule.kind])
     hits = np.nonzero(np.isfinite(values) & (values > rule.threshold))[0]
     if len(hits) == 0:
         return None

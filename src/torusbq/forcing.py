@@ -25,6 +25,7 @@ stream reuses one generator, resetting its counter per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,10 +63,6 @@ class RandomStream:
         # the state of a generator that has drawn nothing; normals sets its counter
         self._fresh_state = self._bitgen.state
 
-    def for_path(self, path_index: int) -> "RandomStream":
-        """Stream for another path under the same master seed."""
-        return RandomStream(self.master_seed, path_index)
-
     def normals(self, step_index: int, count: int) -> np.ndarray:
         """`count` standard normals for the given step."""
         self._fresh_state["state"]["counter"][1] = int(step_index)
@@ -102,28 +99,17 @@ class QWienerSpec:
 
 
 def _half_space_wavenumbers(dimension: int, count: int):
-    """Canonical half-space wavenumbers ordered by |k|^2 then lexicographically."""
-    out = []
+    """Every k > 0 (lexicographically, the canonical half-space) with |k|_inf
+    up to the least radius giving at least `count` of them, shell by shell in
+    |k|_inf, then by |k|^2, then lexicographically: (3, 3) precedes (4, 0)."""
     radius = 1
-    while len(out) < count:
-        rng = range(-radius, radius + 1)
-        ks = []
-        if dimension == 2:
-            candidates = [(a, b) for a in rng for b in rng]
-        else:
-            candidates = [(a, b, c) for a in rng for b in rng for c in rng]
-        for k in candidates:
-            if all(v == 0 for v in k):
-                continue
-            first = next(v for v in k if v != 0)
-            if first < 0:
-                continue
-            if max(abs(v) for v in k) == radius:
-                ks.append(k)
-        ks.sort(key=lambda k: (sum(v * v for v in k), k))
-        out.extend(ks)
+    while (2 * radius + 1) ** dimension // 2 < count:
         radius += 1
-    return out
+    ks = product(range(-radius, radius + 1), repeat=dimension)
+    return sorted(
+        (k for k in ks if k > (0,) * dimension),
+        key=lambda k: (max(map(abs, k)), sum(v * v for v in k), k),
+    )
 
 
 def default_qwiener(
@@ -182,6 +168,11 @@ def _mode_direction(k, dimension):
 
 def default_mode_fields(grid: Grid, spec: QWienerSpec, amplitude: float = 1.0):
     """Divergence-free base fields cos/sin(k.x) times a unit vector normal to k."""
+    # a mode with |k_i| >= n/2 aliases onto another one or vanishes (sin at n/2)
+    k_max = max((abs(ki) for k, _ in spec.modes for ki in k), default=0)
+    if k_max >= grid.n // 2:
+        msg = f"n_modes {spec.truncation} reaches |k_i| = {k_max} >= n/2"
+        raise ValueError(f"{msg} = {grid.n // 2}, which the grid cannot resolve")
     fields = []
     for k, parity in spec.modes:
         phase = sum(ki * x for ki, x in zip(k, grid.x_mesh))
@@ -391,7 +382,7 @@ def ito_isometry_estimate(
     rhs = n_steps * dt * hs_norm(noise, u, theta, 0) ** 2
     acc = np.zeros(n_paths)
     for p in range(n_paths):
-        sp = stream.for_path(p)
+        sp = RandomStream(stream.master_seed, p)
         total = np.zeros(noise.spec.truncation)
         for j in range(n_steps):
             total += sample_increment(noise.spec, dt, sp, j)

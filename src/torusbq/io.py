@@ -403,11 +403,6 @@ def read_snapshot(path, expect_grid: Optional[Grid] = None) -> State:
     return State(t, u, SpectralScalarField.from_samples(grid, stack[dim]))
 
 
-def snapshot_size(dimension: int, n: int) -> int:
-    """Exact byte size of a snapshot at the given resolution."""
-    return _snapshot_header(dimension).size + (dimension + 1) * n**dimension * 8
-
-
 # -- CSV and JSON -----------------------------------------------------------------
 
 
@@ -464,7 +459,3 @@ class RunManifest:
 
     def write(self, path):
         write_json(dataclasses.asdict(self), path)
-
-
-def config_hash(config_bytes: bytes) -> str:
-    return hashlib.sha256(config_bytes).hexdigest()

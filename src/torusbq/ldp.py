@@ -49,6 +49,8 @@ class _TerminalModeAmplitude:
         base = config.noise.intensity.base_fields[mode_index]
         self.base_coeffs = base.coefficients
         self.norm_sq = lp_norm(base, 2) ** 2
+        if self.norm_sq == 0.0:  # [noise].amplitude = 0: no unit to measure in
+            raise ValueError(f"mode_index {mode_index} picks a zero noise field")
         self.grid = base.grid
 
     def __call__(self, record: TrajectoryRecord) -> float:

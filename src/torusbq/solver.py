@@ -198,6 +198,11 @@ class SolverConfig:
                 raise ValueError(
                     f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
                 )
+            # run preallocates one float64 table row per state
+            table = (self.n_steps + 1) * len(COLUMNS) * 8
+            if table > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+                msg = f"t_end / dt = {self.n_steps} steps need a {table:.3g}-byte table"
+                raise ValueError(msg + ", more than this machine's memory")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.cutoff_R < 0:
@@ -477,19 +482,12 @@ def build_initial_state(config: SolverConfig) -> State:
         comps = [amp * np.sin(mesh[-1])] + [np.zeros(grid.shape)] * (grid.dimension - 1)
         u = SpectralVectorField.from_samples(grid, *comps)
     elif kind == "taylor_green":
-        if grid.dimension == 2:
-            u = SpectralVectorField.from_samples(
-                grid,
-                amp * np.sin(mesh[0]) * np.cos(mesh[1]),
-                -amp * np.cos(mesh[0]) * np.sin(mesh[1]),
-            )
-        else:
-            u = SpectralVectorField.from_samples(
-                grid,
-                amp * np.sin(mesh[0]) * np.cos(mesh[1]) * np.cos(mesh[2]),
-                -amp * np.cos(mesh[0]) * np.sin(mesh[1]) * np.cos(mesh[2]),
-                np.zeros(grid.shape),
-            )
+        z = np.prod([np.cos(x) for x in mesh[2:]], axis=0)  # 1.0 in 2D
+        comps = [
+            amp * np.sin(mesh[0]) * np.cos(mesh[1]) * z,
+            -amp * np.cos(mesh[0]) * np.sin(mesh[1]) * z,
+        ] + [np.zeros(grid.shape)] * (grid.dimension - 2)
+        u = SpectralVectorField.from_samples(grid, *comps)
     else:  # random
         raw = SpectralVectorField(grid, rng.standard_normal((grid.dimension,) + grid.shape))
         u = leray_project(galerkin_project(raw, min(grid.n // 3, 8)))

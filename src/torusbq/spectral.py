@@ -199,9 +199,6 @@ class _Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def _check(self, other):
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
@@ -374,7 +371,7 @@ def lp_norm(field, p) -> float:
         mag = np.sqrt(np.einsum("i...,i...->...", samples, samples))
     else:
         mag = np.abs(samples)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(mag))
     p = float(p)
     if p < 1:
@@ -491,17 +488,12 @@ def mollify(field, epsilon: float):
     eps -> 0 with |rho_eps f - f|_{s-1} = O(eps).  A sharp spectral cutoff
     would lose the quantified O(eps) difference bound at the band edge, which
     is why the multiplier is Gaussian.  Refuses eps unless 0 < eps < inf.
-    An eps whose eps^2 |k|^2 overflows gets the eps -> inf limit, the mean
-    alone, which is what the multiplier rounds to for every eps above 27.3.
+    eps is capped at 30, so eps^2 |k|^2 never overflows: every eps above 27.3
+    already rounds to the eps -> inf limit, the mean alone.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    k2 = field.grid.k2
-    try:
-        with np.errstate(over="raise"):
-            multiplier = np.exp(-(epsilon**2) * k2)
-    except (OverflowError, FloatingPointError):
-        multiplier = np.where(k2 == 0.0, 1.0, 0.0)
+    multiplier = np.exp(-(min(epsilon, 30.0) ** 2) * field.grid.k2)
     return field._with_coefficients(multiplier * field.coefficients)
 
 

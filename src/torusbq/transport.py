@@ -58,10 +58,6 @@ def cfl_number(u: SpectralVectorField, dt: float) -> float:
     return dt * lp_norm(u, np.inf) / u.grid.spacing
 
 
-def _interp_order(scheme: AdvectionScheme) -> int:
-    return 3 if scheme.interpolation == "cubic" else 1
-
-
 def _interpolate(samples: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
     """samples at fractional index coords, wrapped periodically.  A point with
     a coordinate that is non-finite or at least 2**52 in magnitude, where
@@ -92,7 +88,7 @@ def _departure_coords(u: SpectralVectorField, dt: float, order: int) -> np.ndarr
 
 
 def _advect_semi_lagrangian(theta, u, dt, scheme) -> SpectralScalarField:
-    order = _interp_order(scheme)
+    order = 3 if scheme.interpolation == "cubic" else 1
     coords = _departure_coords(u, dt, order)
     values = _interpolate(theta.samples, coords, order)
     if scheme.interpolation == "linear":

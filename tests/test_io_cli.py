@@ -1,12 +1,16 @@
 import json
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusbq
 from torusbq.checks import CheckResult
 from torusbq.cli import COMMANDS, main
 from torusbq.forcing import default_qwiener
@@ -18,7 +22,6 @@ from torusbq.io import (
     parse_config,
     read_control_csv,
     read_snapshot,
-    snapshot_size,
     write_snapshot,
     write_timeseries,
 )
@@ -254,7 +257,7 @@ class TestSchema:
 class TestControlCsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "control.csv"
-        path.write_text("t,mode,value\n0.0,0,1.0\n0.5,0,2.0\n0.5,1,-1.0\n")
+        path.write_text("t,mode,value\n# a comment\n0.0,0,1.0\n0.5,0,2.0\n0.5,1,-1.0\n")
         h = read_control_csv(path, 2)
         assert np.allclose(h.times, [0.0, 0.5])
         assert np.allclose(h.samples, [[1.0, 0.0], [2.0, -1.0]])
@@ -324,7 +327,7 @@ class TestSnapshots:
         write_snapshot(state, path)
         # 32-byte header (magic, version, dimension, 2 axes, time, count)
         # plus 3 fields of 64^2 doubles
-        assert path.stat().st_size == snapshot_size(2, 64) == 32 + 3 * 64 * 64 * 8
+        assert path.stat().st_size == 32 + 3 * 64 * 64 * 8
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bqsf"
@@ -347,6 +350,25 @@ class TestSnapshots:
         raw[12:20] = struct.pack("<2I", 6, 6)  # the two axis resolutions
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError, match="power of two"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "start, value, message",
+        [
+            (4, (2,), "unsupported version 2"),
+            (8, (4,), "bad dimension 4"),
+            (12, (16, 8), r"anisotropic resolution \[16, 8\]"),
+            (28, (4,), "expected 3 fields, found 4"),
+        ],
+        ids=["version", "dimension", "anisotropic", "field_count"],
+    )
+    def test_bad_header_field(self, tmp_path, start, value, message):
+        path = tmp_path / "state.bqsf"
+        write_snapshot(self.make_state(), path)
+        raw = bytearray(path.read_bytes())
+        raw[start : start + 4 * len(value)] = struct.pack(f"<{len(value)}I", *value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match=f"^{re.escape(str(path))}: {message}$"):
             read_snapshot(path)
 
     def test_missing_file(self, tmp_path):
@@ -757,6 +779,22 @@ class TestCli:
         assert f"error: [ldp].{key}: " in capsys.readouterr().err
         assert not (tmp_path / "ldp").exists()
 
+    def test_ldp_mc_zero_amplitude_names_mode_index(self, tmp_path, capsys):
+        # the functional measures in units of the mode's base field, here zero
+        text = LDP_CONFIG.format(out=tmp_path / "ldp")
+        text = text.replace("[noise]\n", "[noise]\namplitude = 0\n")
+        assert main(["ldp-mc", "--config", str(write_config(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [ldp].mode_index: mode_index 0 picks a zero")
+        assert not (tmp_path / "ldp").exists()
+
+    def test_ldp_mc_needs_threshold(self, tmp_path, capsys):
+        text = LDP_CONFIG.format(out=tmp_path / "ldp").replace("threshold = 0.05\n", "")
+        assert main(["ldp-mc", "--config", str(write_config(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [ldp].threshold: a finite threshold is required")
+        assert not (tmp_path / "ldp").exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -774,6 +812,10 @@ class TestCli:
             ("time", "t_end", "inf"),
             ("physics", "init_velocity_amplitude", "nan"),
             ("physics", "init_seed", "-1"),
+            # 16 points resolve |k_i| <= 7: 225 modes with the mean, not 226
+            ("noise", "n_modes", "226"),
+            # a 1e11-row trajectory table
+            ("time", "t_end", "1e9"),
         ],
     )
     def test_bad_value_names_key(self, tmp_path, capsys, section, key, value):
@@ -789,18 +831,74 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "rows",
-        ["0.05,0,1.0\n", "0.0,0,1.0\n0.06,0,0.5\n", "-1,0,5.0\n"],
-        ids=["late_start", "past_t_end", "early_start"],
+        "rows, message",
+        [
+            ("0.05,0,1.0\n", "control time grid must start at 0, got 0.05"),
+            ("0.0,0,1.0\n0.06,0,0.5\n", "control time grid must cover [0, t_end]"),
+            ("-1,0,5.0\n", "control time grid must start at 0, got -1"),
+            ("0,0,1.0\n0,0,2.0\n", "{path}:3: duplicate row for t=0.0, mode 0"),
+            ("0,0\n", "{path}:2: expected 't,mode,value', got ['0', '0']"),
+            (None, "control file not found: {path}"),
+        ],
+        ids=[
+            "late_start", "past_t_end", "early_start", "duplicate", "short_row", "missing"
+        ],
     )
-    def test_bad_control_flag_names_key(self, tmp_path, capsys, rows):
+    def test_bad_control_flag_names_key(self, tmp_path, capsys, rows, message):
         control = tmp_path / "control.csv"
-        control.write_text("t,mode,value\n" + rows)
+        if rows is not None:
+            control.write_text("t,mode,value\n" + rows)
         cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
         argv = ["simulate", "--config", str(cfg), "--control", str(control)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [control].file: control time grid")
+        assert err == f"error: [control].file: {message.format(path=control)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_control_needs_noise(self, tmp_path, capsys):
+        control = tmp_path / "control.csv"
+        control.write_text("t,mode,value\n0.0,0,1.0\n")
+        text = MINIMAL + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+        argv = ["simulate", "--config", str(write_config(tmp_path, text))]
+        assert main(argv + ["--control", str(control)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [control].file: a control needs an active [noise]\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[domain\ndimension = 2\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed config file ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate"], "--config is required for this command"),
+            (["mollify", "--epsilon", "1"], "mollify needs --input SNAPSHOT"),
+        ],
+        ids=["simulate_config", "mollify_input"],
+    )
+    def test_missing_argument(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--out-dir", "[output].directory"])
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, source):
+        # refused before the run, not by mkdir after it
+        target = tmp_path / "afile"
+        target.write_text("keep")
+        argv = ["simulate", "--config"]
+        if source == "--out-dir":
+            cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
+            argv += [str(cfg), "--out-dir", str(target)]
+        else:
+            argv.append(str(write_config(tmp_path, SIM_CONFIG.format(out=target))))
+        assert main(argv) == 1
+        message = f"error: {source}: {target} exists and is not a directory\n"
+        assert capsys.readouterr().err == message
+        assert target.read_text() == "keep"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -981,3 +1079,17 @@ def test_csv_output_format(command_runs, command, name, header):
 def test_json_output_format(command_runs, command, name):
     text = (command_runs[command][0] / name).read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_module_entry_point_help():
+    src = str(Path(torusbq.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "torusbq", "--help"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: torusbq ")

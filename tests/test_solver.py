@@ -236,6 +236,12 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match="divergence defect nan"):
             run(base_config(n=16), initial_state=State(0.0, nan, theta))
 
+    def test_stochastic_run_needs_stream(self):
+        grid = Grid(2, 8)
+        cfg = base_config(n=8, epsilon=0.1, noise=single_mode_noise(grid))
+        with pytest.raises(ValueError, match="stochastic runs need a RandomStream"):
+            run(cfg)
+
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize(
         "case",
@@ -583,6 +589,11 @@ class TestEnsemble:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert np.array_equal(run_ensemble(cfg, 5, 0, functionals, n_jobs=5000), serial)
         assert FakePool.max_workers == [3, 2, 5]
+
+    def test_refuses_no_paths(self):
+        cfg = SolverConfig(grid=Grid(2, 8), dt=0.01, t_end=0.02)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            run_ensemble(cfg, 0, 0, [lambda rec: 0.0])
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_refuses_fewer_than_one_job(self, n_jobs):
