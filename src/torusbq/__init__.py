@@ -8,19 +8,3 @@ harness.
 """
 
 __version__ = "0.1.0"
-
-from .spectral import (
-    Grid,
-    SpectralScalarField,
-    SpectralVectorField,
-    divergence,
-    gradient,
-    galerkin_project,
-    implicit_diffusion_solve,
-    leray_project,
-    lp_norm,
-    perp_div_2d,
-    perp_grad_2d,
-    sobolev_norm,
-    stokes_apply,
-)

@@ -72,9 +72,9 @@ def run_invariant_battery(config: SolverConfig) -> list:
     grid = config.grid
     results = []
 
-    def record(name, measured, tolerance, detail="", larger_ok=False):
-        ok = measured >= tolerance if larger_ok else measured <= tolerance
-        results.append(CheckResult(name, bool(ok), float(measured), float(tolerance), detail))
+    def record(name, measured, tolerance, detail=""):
+        ok = bool(measured <= tolerance)
+        results.append(CheckResult(name, ok, float(measured), float(tolerance), detail))
 
     f = _random_scalar(grid, 101)
     g2 = SpectralScalarField.from_coefficients(grid, f.coefficients)

@@ -49,9 +49,8 @@ from .io import (
     write_snapshot,
     write_timeseries,
 )
-from .ldp import FUNCTIONALS, VARADHAN_COLUMNS, ControlFamily, RareEvent
-from .ldp import check_dimension, check_eps_list, check_n_paths, varadhan_gap
-from .solver import State, check_n_jobs, run, run_ensemble
+from .ldp import FUNCTIONALS, VARADHAN_COLUMNS, ControlFamily, RareEvent, varadhan_gap
+from .solver import State, run, run_ensemble
 from .spectral import mollify
 
 EXIT_OK = 0
@@ -95,9 +94,11 @@ def _load(args):
         harness.seed = args.seed
     if args.out_dir is not None:
         harness.out_dir = Path(args.out_dir)
-    if harness.out_dir.exists() and not harness.out_dir.is_dir():
+    # a file at out_dir or above it would fail mkdir only after the computation
+    found = next(p for p in (harness.out_dir, *harness.out_dir.parents) if p.exists())
+    if not found.is_dir():
         source = "--out-dir" if args.out_dir is not None else "[output].directory"
-        raise ConfigError(f"{source}: {harness.out_dir} exists and is not a directory")
+        raise ConfigError(f"{source}: {found} exists and is not a directory")
     if args.quiet:
         harness.quiet = True
     return config, harness
@@ -134,7 +135,8 @@ def _trajectory_outcome(record, harness) -> Outcome:
     if harness.snapshot_final:
         files["state_final.bqsf"] = partial(write_snapshot, record.final_state)
     if not record.blown_up:
-        lines = [f"wrote {', '.join(files)} to {harness.out_dir}"]
+        written = ", ".join([*files, "manifest.json"])
+        lines = [f"wrote {written} to {harness.out_dir}"]
         return Outcome(files, lines, stop_reason=record.stop_reason)
     cause = record.stop_reason.replace("_", " ").replace(":", " in ")
     error = f"numerical {cause} at t={record.column('t')[-1]:.6g}"
@@ -160,9 +162,10 @@ def cmd_ensemble(args, config, harness) -> Outcome:
     n_paths = args.paths if args.paths is not None else 8
     if n_paths < 1:
         raise ConfigError(f"--paths: need at least one path, got {n_paths}")
-    functionals = [FUNCTIONALS[name][0](config) for name in _ENSEMBLE_FUNCTIONALS]
+    builders, needs_full = zip(*(FUNCTIONALS[name] for name in _ENSEMBLE_FUNCTIONALS))
+    functionals = [build(config) for build in builders]
     table = run_ensemble(
-        config, n_paths, harness.seed, functionals, full_diagnostics=False
+        config, n_paths, harness.seed, functionals, full_diagnostics=any(needs_full)
     )
 
     mean, variance = table.mean(axis=1), table.var(axis=1)
@@ -214,20 +217,15 @@ def cmd_ldp_mc(args, config, harness) -> Outcome:
     if ldp["functional"] == "terminal_mode_amplitude":
         params["mode_index"] = ldp["mode_index"]
     n_paths = args.paths if args.paths is not None else ldp["n_paths"]
-    try:
-        check_dimension(config)
+    try:  # varadhan_gap refuses every bad input before its first solve
         event = RareEvent(ldp["functional"], ldp["threshold"], ldp["direction"], params)
-        event.build(config)  # the functional checks its own parameters
         family = ControlFamily(ldp["family_blocks"], ldp["box_bound"])
-        check_n_paths(n_paths)
-        check_eps_list(ldp["eps_list"])
-        check_n_jobs(ldp["n_jobs"])
+        table = varadhan_gap(
+            config, event, ldp["eps_list"], n_paths, family, harness.seed, ldp["n_jobs"]
+        )
     except ValueError as exc:
         flags = {"[ldp].n_paths": "--paths"} if args.paths is not None else None
         raise config_error(exc, flags) from None
-    table = varadhan_gap(
-        config, event, ldp["eps_list"], n_paths, family, harness.seed, ldp["n_jobs"]
-    )
     lines = [
         f"eps={eps:g}: p_hat={p_hat:.4g} -eps*log(p)={gap:.4g} best_cost={cost:.4g}"
         for eps, _, p_hat, _, _, gap, cost in table

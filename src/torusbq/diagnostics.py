@@ -161,7 +161,8 @@ def check_stopping(record: TrajectoryRecord, rule: StoppingRule) -> Optional[flo
 
 
 def energy_budget(record: TrajectoryRecord) -> np.ndarray:
-    """Per-step residuals of the deterministic kinetic-energy identity.
+    """Per-step residuals of the deterministic kinetic-energy identity, whose
+    work terms are the buoyancy's and, in a controlled run, the control's.
 
     Only meaningful without noise; stochastic budgets hold in expectation and
     are checked through ensembles instead, so epsilon > 0 records are refused.

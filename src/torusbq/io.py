@@ -365,7 +365,7 @@ def write_snapshot(state: State, path):
             fh.write(np.ascontiguousarray(samples, dtype="<f8").tobytes())
 
 
-def read_snapshot(path, expect_grid: Optional[Grid] = None) -> State:
+def read_snapshot(path) -> State:
     """Inverse of write_snapshot; read . write is the identity on samples."""
     try:
         with open(path, "rb") as fh:
@@ -389,10 +389,6 @@ def read_snapshot(path, expect_grid: Optional[Grid] = None) -> State:
         grid = Grid(dim, res[0])
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from None
-    if expect_grid is not None and grid != expect_grid:
-        raise SnapshotError(
-            f"{path}: snapshot grid {grid} does not match expected {expect_grid}"
-        )
     count = n_fields * grid.n**dim
     need = header.size + count * 8
     if len(raw) < need:

@@ -26,6 +26,7 @@ from scipy.stats import norm
 
 from .forcing import QWienerSpec
 from .solver import (
+    LIGHT_COLUMNS,
     Control,
     SolverConfig,
     TrajectoryRecord,
@@ -65,16 +66,22 @@ def _column_value(column: str, reduce, config, record: TrajectoryRecord) -> floa
     return float(reduce(record.column(column)))
 
 
+def _column(column: str, reduce) -> tuple:
+    """The FUNCTIONALS entry of reduce(column): its builder and its functional
+    are partials of _column_value (picklable), and it needs full diagnostics
+    unless light rows record the column."""
+    return partial(partial, _column_value, column, reduce), column not in LIGHT_COLUMNS
+
+
 _LAST = itemgetter(-1)
 
-#: name -> (builder(config, **params) -> functional, needs full diagnostics);
-#: a column builder and its functional are partials of _column_value (picklable)
+#: name -> (builder(config, **params) -> functional, needs full diagnostics)
 FUNCTIONALS = {
     "terminal_mode_amplitude": (_TerminalModeAmplitude, False),
-    "terminal_l2_u": (partial(partial, _column_value, "l2_u", _LAST), False),
-    "sup_l2_u": (partial(partial, _column_value, "l2_u", np.max), False),
-    "terminal_l2_theta": (partial(partial, _column_value, "l2_theta", _LAST), False),
-    "sup_linf_theta": (partial(partial, _column_value, "linf_theta", np.max), True),
+    "terminal_l2_u": _column("l2_u", _LAST),
+    "sup_l2_u": _column("l2_u", np.max),
+    "terminal_l2_theta": _column("l2_theta", _LAST),
+    "sup_linf_theta": _column("linf_theta", np.max),
 }
 
 
@@ -140,8 +147,12 @@ def control_cost(h: Control, spec: QWienerSpec, t_end: float) -> float:
 def solve_skeleton(
     config: SolverConfig, h: Optional[Control], full_diagnostics: bool = True
 ) -> TrajectoryRecord:
-    """Deterministic controlled trajectory (the noise-free system plus P f h)."""
-    check_dimension(config)
+    """Deterministic controlled trajectory (the noise-free system plus P f h).
+
+    Raises ValueError, before any step, unless config is 2D, where the
+    skeleton map is defined."""
+    if config.grid.dimension != 2:
+        raise ValueError(f"the skeleton map needs dimension 2, got {config.grid.dimension}")
     cfg = dataclasses.replace(config, epsilon=0.0, control=h)
     return run(cfg, full_diagnostics=full_diagnostics)
 
@@ -187,12 +198,6 @@ def mc_rare_event(
         return 1.0, (1.0 - 3.0 / n_paths, 1.0)
     half = norm.ppf(0.975) * np.sqrt(p * (1.0 - p) / n_paths)
     return p, (max(0.0, p - half), min(1.0, p + half))
-
-
-def check_dimension(config: SolverConfig):
-    """Raise ValueError unless config is 2D, where the skeleton map is defined."""
-    if config.grid.dimension != 2:
-        raise ValueError(f"the skeleton map needs dimension 2, got {config.grid.dimension}")
 
 
 def check_n_paths(n_paths: int):
@@ -358,13 +363,6 @@ VARADHAN_COLUMNS = tuple(
 )
 
 
-def check_eps_list(eps: list):
-    """Raise ValueError unless eps is nonempty, strictly decreasing inside (0, 1]."""
-    inside = len(eps) > 0 and all(0.0 < e <= 1.0 for e in eps)
-    if not inside or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"epsilons must decrease strictly inside (0, 1], got {eps}")
-
-
 def varadhan_gap(
     config: SolverConfig,
     event: RareEvent,
@@ -380,10 +378,17 @@ def varadhan_gap(
     order: p_hat = 0 gives neg_eps_log_p = inf; best_cost is NaN without a
     family and inf when no control in it reaches the event.  Rows need not be
     monotone in epsilon: finite samples wobble.
-    eps_list, n_paths and n_jobs are checked before the minimisation runs.
+
+    Every bad input raises ValueError before any trajectory is solved:
+    eps_list (nonempty, strictly decreasing inside (0, 1]), n_paths and
+    n_jobs here, then the event's own parameters (event.build) and, with a
+    family, the 2D check of the first skeleton solve.  The ldp-mc command
+    relies on this to write nothing for a bad configuration.
     """
     eps = list(eps_list)
-    check_eps_list(eps)
+    inside = len(eps) > 0 and all(0.0 < e <= 1.0 for e in eps)
+    if not inside or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"epsilons must decrease strictly inside (0, 1], got {eps}")
     check_n_paths(n_paths)
     check_n_jobs(n_jobs)
     best_cost = np.nan

@@ -373,6 +373,11 @@ COLUMNS = CSV_COLUMNS + (
     "cfl_violated",
 )
 _COL = {name: i for i, name in enumerate(COLUMNS)}
+#: The columns a light row (run's full_diagnostics=False) records: what
+#: stepping itself produces.  The others keep their BLANK_ROW value.
+LIGHT_COLUMNS = tuple(
+    "t l2_u l2_theta h_h0 phi_value cfl cfl_violated div_defect stop_flag".split()
+)
 
 #: A table row before anything is recorded in it.
 BLANK_ROW = np.full(len(COLUMNS), np.nan)
@@ -424,8 +429,7 @@ def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
     if config.control is not None:
         row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
     if not full:
-        # light rows keep only what stepping itself produces; phi for
-        # post-step rows is filled in from the step info by run()
+        # a light row (LIGHT_COLUMNS): run fills in the step info
         return
     linf_grad_u = velocity_grad_sup(u)
     row[_COL["linf_grad_u"]] = linf_grad_u
@@ -446,18 +450,25 @@ def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
 
 
 def _energy_residual(prev: State, new: State, rows, config: SolverConfig) -> float:
-    """Trapezoid residual of d|u|^2 + 2 nu |grad u|^2 dt = 2 (theta e_d, u) dt.
+    """Trapezoid residual of d|u|^2 + 2 nu |grad u|^2 dt = 2 W dt.
 
-    rows are the two states' table rows, whose l2_u it reads.  The
-    buoyancy work (P theta e_d, u_mid) is taken as (theta e_d, u_mid):
-    P is self-adjoint and both velocities are solenoidal, so P u_mid = u_mid
-    and the step's buoyancy term need not be projected again here.
+    W is the work on u_mid of the buoyancy, (P theta e_d, u_mid), plus in a
+    controlled run that of the control drift, (P f h, u_mid), with theta, h
+    and f's envelope taken at the pre-step state, as the step takes them.
+    rows are the two states' table rows, whose l2_u it reads.  The buoyancy
+    work is taken as (theta e_d, u_mid): P is self-adjoint and both
+    velocities are solenoidal, so P u_mid = u_mid and the step's buoyancy
+    term need not be projected again here.
     """
     dt, g = config.dt, config.grid
     c0, c1 = prev.u.coefficients, new.u.coefficients
     mid_grad_sq = 0.5 * (parseval_grad_l2(g, c0) ** 2 + parseval_grad_l2(g, c1) ** 2)
     theta = prev.theta.coefficients
     work = 0.5 * (parseval_inner(g, theta, c0[-1]) + parseval_inner(g, theta, c1[-1]))
+    if config.control is not None:
+        h = config.control.value_at(prev.t)
+        drift = weighted_sum(config.noise, prev.u, prev.theta, h).coefficients
+        work += 0.5 * (parseval_inner(g, drift, c0) + parseval_inner(g, drift, c1))
     l2_u0, l2_u1 = rows[:, _COL["l2_u"]].tolist()
     return (
         l2_u1**2
@@ -544,9 +555,8 @@ def run(
     Observers get obs(state, record.rows[-1]) for every state reached.
     Stopping rules (diagnostics.StoppingRule) are evaluated on the growing
     record, including the initial row.  full_diagnostics=False records light
-    rows, for large ensembles: only t, l2_u, l2_theta, h_h0, phi_value, cfl,
-    cfl_violated, div_defect and stop_flag; every stopping rule reads the
-    columns it leaves out, so it refuses any.
+    rows, for large ensembles: only the LIGHT_COLUMNS; every stopping rule
+    reads columns they leave out, so it refuses any.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")

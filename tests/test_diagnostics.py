@@ -324,6 +324,22 @@ class TestEnergyBudget:
             rec.values[0, 0] = 1.0
         assert np.max(np.abs(energy_budget(rec))) == 0.0
 
+    def test_control_work_balanced(self):
+        # the mean mode's constant drift does work on u and nothing else does
+        grid = Grid(2, 16)
+        spec = default_qwiener(2, 3)
+        assert spec.modes[0] == ((0, 0), "cos")
+        cfg = SolverConfig(
+            grid=grid,
+            dt=0.01,
+            t_end=0.03,
+            noise=NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec))),
+            control=Control([0.0], [[1.0, 0.0, 0.0]]),
+        )
+        rec = run(cfg)
+        assert rec.column("l2_u")[-1] > 0.01
+        assert np.max(np.abs(energy_budget(rec))) < 1e-14
+
     def test_refuses_stochastic(self, grid):
         cfg = SolverConfig(
             grid=grid, dt=0.01, t_end=0.05, epsilon=0.5, noise=single_mode_noise(grid)

@@ -169,7 +169,7 @@ GOLDEN = {
     },
     "skeleton-control": {
         "state_final.bqsf": "94e1b1fbcde58a92d07c41f719bef63c41c16bcf81345fabcd285c54e80a02db",
-        "timeseries.csv": "79b183189ea4d84824dbe6878894c366b2a09034f309e9346d4197639066ddf9",
+        "timeseries.csv": "18427b87c29d8559f3ee912fef13daf921c14c1a1d9e55121aaedd6c2d4a0bac",
     },
 }
 

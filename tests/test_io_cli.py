@@ -52,6 +52,20 @@ def write_config(tmp_path, text, name="run.ini"):
     return path
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every trajectory solve, through ldp's or solver's run."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("torusbq.ldp.run", counted)
+    monkeypatch.setattr("torusbq.solver.run", counted)
+    return calls
+
+
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         config, harness = parse_config(write_config(tmp_path, MINIMAL))
@@ -381,12 +395,6 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-17])
         with pytest.raises(SnapshotError, match="truncated"):
             read_snapshot(path)
-
-    def test_grid_mismatch(self, tmp_path):
-        path = tmp_path / "state.bqsf"
-        write_snapshot(self.make_state(16), path)
-        with pytest.raises(SnapshotError, match="does not match"):
-            read_snapshot(path, expect_grid=Grid(2, 32))
 
 
 class TestTimeseries:
@@ -767,7 +775,7 @@ class TestCli:
             ("n_jobs", "-2"),
         ],
     )
-    def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, key, value):
+    def test_ldp_mc_bad_value_names_key(self, tmp_path, capsys, solves, key, value):
         lines = [
             line
             for line in LDP_CONFIG.format(out=tmp_path / "ldp").splitlines()
@@ -778,8 +786,9 @@ class TestCli:
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         assert f"error: [ldp].{key}: " in capsys.readouterr().err
         assert not (tmp_path / "ldp").exists()
+        assert solves == []
 
-    def test_ldp_mc_zero_amplitude_names_mode_index(self, tmp_path, capsys):
+    def test_ldp_mc_zero_amplitude_names_mode_index(self, tmp_path, capsys, solves):
         # the functional measures in units of the mode's base field, here zero
         text = LDP_CONFIG.format(out=tmp_path / "ldp")
         text = text.replace("[noise]\n", "[noise]\namplitude = 0\n")
@@ -787,6 +796,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: [ldp].mode_index: mode_index 0 picks a zero")
         assert not (tmp_path / "ldp").exists()
+        assert solves == []
 
     def test_ldp_mc_needs_threshold(self, tmp_path, capsys):
         text = LDP_CONFIG.format(out=tmp_path / "ldp").replace("threshold = 0.05\n", "")
@@ -884,22 +894,50 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["--out-dir", "[output].directory"])
-    def test_out_dir_that_is_a_file(self, tmp_path, capsys, source):
-        # refused before the run, not by mkdir after it
+    @pytest.mark.parametrize(
+        "source, under",
+        [
+            ("--out-dir", ""),
+            ("[output].directory", ""),
+            ("--out-dir", "sub/dir"),
+            ("[output].directory", "sub/dir"),
+        ],
+        ids=["--out-dir", "[output].directory", "under--out-dir", "under-directory"],
+    )
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, source, under):
+        # refused before the run, not by mkdir after it; a path under a file
+        # names the file
         target = tmp_path / "afile"
         target.write_text("keep")
         argv = ["simulate", "--config"]
         if source == "--out-dir":
             cfg = write_config(tmp_path, SIM_CONFIG.format(out=tmp_path / "out"))
-            argv += [str(cfg), "--out-dir", str(target)]
+            argv += [str(cfg), "--out-dir", str(target / under)]
         else:
-            argv.append(str(write_config(tmp_path, SIM_CONFIG.format(out=target))))
+            text = SIM_CONFIG.format(out=target / under)
+            argv.append(str(write_config(tmp_path, text)))
         assert main(argv) == 1
         message = f"error: {source}: {target} exists and is not a directory\n"
         assert capsys.readouterr().err == message
         assert target.read_text() == "keep"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "timeseries, snapshot, files",
+        [
+            ("true", "true", "timeseries.csv, state_final.bqsf, manifest.json"),
+            ("false", "false", "manifest.json"),
+        ],
+    )
+    def test_wrote_line_names_every_file(
+        self, tmp_path, capsys, timeseries, snapshot, files
+    ):
+        out = tmp_path / "out"
+        text = SIM_CONFIG.format(out=out).replace("quiet = true", "quiet = false")
+        text += f"timeseries = {timeseries}\nsnapshot_final = {snapshot}\n"
+        assert main(["simulate", "--config", str(write_config(tmp_path, text))]) == 0
+        assert capsys.readouterr().out == f"wrote {files} to {out}\n"
+        assert {p.name for p in out.iterdir()} == set(files.split(", "))
 
     @pytest.mark.parametrize(
         "command, text, paths",
@@ -935,13 +973,14 @@ class TestCli:
         assert err.startswith("error: [control].file: ") and "Girsanov" in err
         assert not (tmp_path / "ldp").exists()
 
-    def test_ldp_mc_refuses_3d(self, tmp_path, capsys):
+    def test_ldp_mc_refuses_3d(self, tmp_path, capsys, solves):
         text = LDP_CONFIG.format(out=tmp_path / "ldp")
         cfg = write_config(tmp_path, text.replace("dimension = 2", "dimension = 3"))
         assert main(["ldp-mc", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [domain].dimension: the skeleton map")
         assert not (tmp_path / "ldp").exists()
+        assert solves == []
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -16,7 +16,7 @@ PACKAGE = Path(torusbq.__file__).parent
 
 #: module -> the package modules it imports ("__init__" for `from . import`)
 IMPORTS = {
-    "__init__": {"spectral"},
+    "__init__": set(),
     "__main__": {"cli"},
     "checks": {"forcing", "solver", "spectral", "transport"},
     "cli": {"checks", "forcing", "io", "ldp", "solver", "spectral"},

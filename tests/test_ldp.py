@@ -336,6 +336,17 @@ def test_mode_index_outside_the_retained_modes(mode_index):
         event.build(cfg)
 
 
+def test_functional_flags():
+    """Only sup_linf_theta reads a column that light rows leave out."""
+    assert {name: needs_full for name, (_, needs_full) in FUNCTIONALS.items()} == {
+        "terminal_mode_amplitude": False,
+        "terminal_l2_u": False,
+        "sup_l2_u": False,
+        "terminal_l2_theta": False,
+        "sup_linf_theta": True,
+    }
+
+
 @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
 def test_light_row_flag(name):
     """A functional flagged light reads the same value from light rows as

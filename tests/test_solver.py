@@ -15,6 +15,9 @@ from torusbq.forcing import (
 )
 from torusbq.ldp import FUNCTIONALS
 from torusbq.solver import (
+    BLANK_ROW,
+    COLUMNS,
+    LIGHT_COLUMNS,
     Control,
     InitialCondition,
     NoiseModel,
@@ -342,6 +345,37 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match=kind):
             run(cfg, stopping_rules=[rule], full_diagnostics=False)
         assert run(cfg, stopping_rules=[rule]).stop_reason == rule.describe()
+
+    @staticmethod
+    def controlled_noisy_config():
+        """2D 16^2 with a control, noise and a cut-off: |grad u0|_inf = 1 puts
+        phi inside (0, 1) from the start."""
+        grid = Grid(2, 16)
+        spec = default_qwiener(2, 3)
+        return SolverConfig(
+            grid=grid,
+            dt=0.01,
+            t_end=0.05,
+            cutoff_R=0.7,
+            epsilon=0.25,
+            noise=NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec))),
+            control=Control([0.0, 0.02], [[1.5, 0.0, -0.5], [0.0, 2.0, 0.0]]),
+            init=InitialCondition(velocity="taylor_green", temperature="sine"),
+        )
+
+    def test_light_rows_record_only_light_columns(self):
+        cfg = self.controlled_noisy_config()
+        values = run(cfg, stream=RandomStream(5), full_diagnostics=False).values
+        blank = (values == BLANK_ROW) | (np.isnan(values) & np.isnan(BLANK_ROW))
+        recorded = {COLUMNS[j] for j in np.flatnonzero(~blank.all(axis=0))}
+        assert recorded <= set(LIGHT_COLUMNS)
+        assert recorded >= {"t", "l2_u", "l2_theta", "h_h0", "phi_value", "cfl"}
+
+    def test_full_rows_leave_only_the_initial_defect_blank(self):
+        rec = run(self.controlled_noisy_config(), stream=RandomStream(5))
+        assert len(rec.values) == 6 and not rec.blown_up
+        nan = np.argwhere(np.isnan(rec.values)).tolist()
+        assert nan == [[0, COLUMNS.index("div_defect")]]
 
     def test_energy_residual_shear(self):
         dt = 0.01
