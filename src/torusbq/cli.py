@@ -128,6 +128,11 @@ def _write_outputs(outcome: Outcome, harness: HarnessSettings, started: str) -> 
     return outcome.code
 
 
+def _wrote(files, harness) -> str:
+    """The stdout line naming every file a command writes, manifest.json last."""
+    return f"wrote {', '.join([*files, 'manifest.json'])} to {harness.out_dir}"
+
+
 def _trajectory_outcome(record, harness) -> Outcome:
     files = {}
     if harness.write_timeseries:
@@ -135,9 +140,7 @@ def _trajectory_outcome(record, harness) -> Outcome:
     if harness.snapshot_final:
         files["state_final.bqsf"] = partial(write_snapshot, record.final_state)
     if not record.blown_up:
-        written = ", ".join([*files, "manifest.json"])
-        lines = [f"wrote {written} to {harness.out_dir}"]
-        return Outcome(files, lines, stop_reason=record.stop_reason)
+        return Outcome(files, [_wrote(files, harness)], stop_reason=record.stop_reason)
     cause = record.stop_reason.replace("_", " ").replace(":", " in ")
     error = f"numerical {cause} at t={record.column('t')[-1]:.6g}"
     return Outcome(
@@ -244,8 +247,8 @@ def cmd_mollify(args, config, harness) -> Outcome:
         smoothed = State(state.t, mollify(state.u, eps), mollify(state.theta, eps))
     except ValueError as exc:
         raise ConfigError(f"--epsilon: {exc}") from None
-    out = harness.out_dir / "state_mollified.bqsf"
-    return Outcome({out.name: partial(write_snapshot, smoothed)}, [f"wrote {out}"])
+    files = {"state_mollified.bqsf": partial(write_snapshot, smoothed)}
+    return Outcome(files, [_wrote(files, harness)])
 
 
 #: every flag's argparse settings; COMMANDS names the flags each command reads

@@ -10,6 +10,11 @@ is an upper bound on the true rate.  Monte Carlo tables of -eps log p_hat
 against that bound give the numerical face of the small-noise asymptotics.
 Girsanov densities are never simulated; everything is costed directly through
 the skeleton.
+
+Only `minimize_cost` needs scipy.optimize, and it imports it in its body, so
+importing this module (and the CLI, which imports it) loads neither
+scipy.optimize nor scipy.stats; a later function that needs scipy.stats
+imports it the same way.  tests/test_layering.py pins this.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm
 
 from .forcing import QWienerSpec
 from .solver import (
@@ -159,6 +162,9 @@ def solve_skeleton(
 
 # -- rare-event Monte Carlo --------------------------------------------------------
 
+#: two-sided 95% normal quantile, equal bit for bit to scipy.special.ndtri(0.975)
+Z_975 = 1.959963984540054
+
 
 def mc_rare_event(
     config: SolverConfig,
@@ -196,7 +202,7 @@ def mc_rare_event(
         return 0.0, (0.0, 3.0 / n_paths)
     if p == 1.0:
         return 1.0, (1.0 - 3.0 / n_paths, 1.0)
-    half = norm.ppf(0.975) * np.sqrt(p * (1.0 - p) / n_paths)
+    half = Z_975 * np.sqrt(p * (1.0 - p) / n_paths)
     return p, (max(0.0, p - half), min(1.0, p + half))
 
 
@@ -263,6 +269,8 @@ def minimize_cost(
     the cheapest realizing candidate is reported.  Returns an explicit
     infeasibility result when no start reaches the event.
     """
+    from scipy.optimize import minimize
+
     n_modes = config.noise.spec.truncation
     t_end = config.t_end
     shape = (family.n_blocks, n_modes)

@@ -419,13 +419,29 @@ class TrajectoryRecord:
         return view
 
 
-def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
-    """Write the diagnostics of state into the blank table row."""
+#: The columns read from theta alone.
+_THETA_COLUMNS = [
+    _COL[name] for name in "l2_theta hs_theta linf_grad_theta linf_theta".split()
+]
+
+
+def _diagnostic_row(
+    row, state: State, config: SolverConfig, full: bool, theta_row=None
+):
+    """Write the diagnostics of state into the blank table row.
+
+    theta_row, when given, is the row of a state holding the same theta
+    object (a step that left theta alone: phi = 0 or u = 0); its theta
+    columns are copied, bitwise what recomputing them would give.
+    """
     u, theta = state.u, state.theta
     g = u.grid
     row[_COL["t"]] = state.t
     row[_COL["l2_u"]] = parseval_l2(g, u.coefficients)
-    row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
+    if theta_row is None:
+        row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
+    else:
+        row[_THETA_COLUMNS] = theta_row[_THETA_COLUMNS]
     if config.control is not None:
         row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
     if not full:
@@ -437,9 +453,10 @@ def _diagnostic_row(row, state: State, config: SolverConfig, full: bool):
         row[_COL["phi_value"]] = cutoff(linf_grad_u, config.cutoff_R)
     row[_COL["hs_u"]] = sobolev_norm(u, config.s)
     row[_COL["hs1_u"]] = sobolev_norm(u, min(config.s + 1, SOBOLEV_INDEX_CAP))
-    row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
-    row[_COL["linf_grad_theta"]] = grad_sup(theta)
-    row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
+    if theta_row is None:
+        row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
+        row[_COL["linf_grad_theta"]] = grad_sup(theta)
+        row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
     if g.dimension == 2:
         w = perp_div_2d(u)
         row[_COL["l2_w"]] = parseval_l2(g, w.coefficients)
@@ -585,7 +602,8 @@ def run(
                 record.stop_reason = f"blow_up:{exc.diagnostic}"
                 record.blown_up = True
                 break
-            _diagnostic_row(row, new_state, config, full_diagnostics)
+            theta_row = table[i - 1] if new_state.theta is state.theta else None
+            _diagnostic_row(row, new_state, config, full_diagnostics, theta_row)
             row[_COL["phi_value"]] = info["phi"]
             row[_COL["cfl"]] = info["cfl"]
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap

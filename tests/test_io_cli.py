@@ -714,6 +714,18 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_mollify_wrote_line_names_every_file(self, tmp_path, capsys):
+        g = Grid(2, 8)
+        zero = State(0.0, SpectralVectorField.zero(g), SpectralScalarField.zero(g))
+        snap = tmp_path / "in.bqsf"
+        write_snapshot(zero, snap)
+        out = tmp_path / "mout"
+        argv = ["mollify", "--input", str(snap), "--epsilon", "0.5"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        files = "state_mollified.bqsf, manifest.json"
+        assert capsys.readouterr().out == f"wrote {files} to {out}\n"
+        assert {p.name for p in out.iterdir()} == set(files.split(", "))
+
     def test_mollify_huge_epsilon_keeps_the_mean(self, tmp_path, capsys):
         grid = Grid(2, 8)
         rng = np.random.default_rng(2)

@@ -12,6 +12,7 @@ from torusbq.io import write_csv
 from torusbq.ldp import (
     FUNCTIONALS,
     VARADHAN_COLUMNS,
+    Z_975,
     ControlFamily,
     RareEvent,
     control_cost,
@@ -156,6 +157,11 @@ def test_girsanov_linearity():
 
 
 class TestMcRareEvent:
+    def test_z_975_is_scipys_quantile(self):
+        from scipy.stats import norm
+
+        assert Z_975 == norm.ppf(0.975)
+
     def test_needs_paths(self):
         cfg = toy_config()
         with pytest.raises(ValueError):

@@ -371,6 +371,59 @@ class TestRunBookkeeping:
         assert recorded <= set(LIGHT_COLUMNS)
         assert recorded >= {"t", "l2_u", "l2_theta", "h_h0", "phi_value", "cfl"}
 
+    @pytest.mark.parametrize("full_diagnostics", [False, True])
+    def test_unchanged_theta_columns_are_copied(self, monkeypatch, full_diagnostics):
+        # on the OU toy no step moves theta (u = 0, then phi = 0): its columns
+        # are computed on row 0 only and equal what recomputing them gives
+        import torusbq.solver as solver_module
+        from torusbq.spectral import parseval_l2
+        from torusbq.transport import grad_sup
+
+        grid = Grid(2, 8)
+        cfg = SolverConfig(
+            grid=grid,
+            dt=0.0125,
+            t_end=0.25,
+            epsilon=0.01,
+            cutoff_R=1e-12,
+            noise=single_mode_noise(grid),
+            init=InitialCondition(temperature="sine"),
+        )
+        calls = {"l2_theta": 0, "linf_grad_theta": 0}
+
+        def counted_l2(g, c):
+            calls["l2_theta"] += c.shape == grid.shape  # theta's or w's
+            return parseval_l2(g, c)
+
+        def counted_grad_sup(theta):
+            calls["linf_grad_theta"] += 1
+            return grad_sup(theta)
+
+        monkeypatch.setattr(solver_module, "parseval_l2", counted_l2)
+        monkeypatch.setattr(solver_module, "grad_sup", counted_grad_sup)
+        states = []
+        rec = run(
+            cfg,
+            stream=RandomStream(4),
+            observers=[lambda state, row: states.append(state)],
+            full_diagnostics=full_diagnostics,
+        )
+        assert len(states) == cfg.n_steps + 1
+        assert all(state.theta is states[0].theta for state in states)
+        if full_diagnostics:
+            assert calls["linf_grad_theta"] == 1
+            expect = {
+                "hs_theta": lambda th: sobolev_norm(th, cfg.s),
+                "linf_grad_theta": grad_sup,
+                "linf_theta": lambda th: lp_norm(th, np.inf),
+            }
+        else:
+            assert calls == {"l2_theta": 1, "linf_grad_theta": 0}
+            expect = {}
+        expect["l2_theta"] = lambda th: parseval_l2(grid, th.coefficients)
+        for name, of in expect.items():
+            assert list(rec.column(name)) == [of(state.theta) for state in states]
+
     def test_full_rows_leave_only_the_initial_defect_blank(self):
         rec = run(self.controlled_noisy_config(), stream=RandomStream(5))
         assert len(rec.values) == 6 and not rec.blown_up
