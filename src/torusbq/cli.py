@@ -50,7 +50,7 @@ from .io import (
     write_timeseries,
 )
 from .ldp import FUNCTIONALS, VARADHAN_COLUMNS, ControlFamily, RareEvent, varadhan_gap
-from .solver import State, run, run_ensemble
+from .solver import CSV_COLUMNS, State, run, run_ensemble
 from .spectral import mollify
 
 EXIT_OK = 0
@@ -133,7 +133,11 @@ def _wrote(files, harness) -> str:
     return f"wrote {', '.join([*files, 'manifest.json'])} to {harness.out_dir}"
 
 
-def _trajectory_outcome(record, harness) -> Outcome:
+def _trajectory_outcome(harness, config, stream=None) -> Outcome:
+    """Run config, its rows computing what timeseries.csv holds (nothing when
+    it is not written), and name the files to write."""
+    columns = CSV_COLUMNS if harness.write_timeseries else ()
+    record = run(config, stream=stream, columns=columns)
     files = {}
     if harness.write_timeseries:
         files["timeseries.csv"] = partial(write_timeseries, record)
@@ -150,11 +154,11 @@ def _trajectory_outcome(record, harness) -> Outcome:
 
 def cmd_simulate(args, config, harness) -> Outcome:
     stream = RandomStream(harness.seed) if config.epsilon > 0 else None
-    return _trajectory_outcome(run(config, stream=stream), harness)
+    return _trajectory_outcome(harness, config, stream)
 
 
 def cmd_skeleton(args, config, harness) -> Outcome:
-    return _trajectory_outcome(run(dataclasses.replace(config, epsilon=0.0)), harness)
+    return _trajectory_outcome(harness, dataclasses.replace(config, epsilon=0.0))
 
 
 #: ensemble summary columns, built from ldp.FUNCTIONALS
@@ -165,11 +169,9 @@ def cmd_ensemble(args, config, harness) -> Outcome:
     n_paths = args.paths if args.paths is not None else 8
     if n_paths < 1:
         raise ConfigError(f"--paths: need at least one path, got {n_paths}")
-    builders, needs_full = zip(*(FUNCTIONALS[name] for name in _ENSEMBLE_FUNCTIONALS))
+    builders, reads = zip(*(FUNCTIONALS[name] for name in _ENSEMBLE_FUNCTIONALS))
     functionals = [build(config) for build in builders]
-    table = run_ensemble(
-        config, n_paths, harness.seed, functionals, full_diagnostics=any(needs_full)
-    )
+    table = run_ensemble(config, n_paths, harness.seed, functionals, columns=sum(reads, ()))
 
     mean, variance = table.mean(axis=1), table.var(axis=1)
     blown = int(np.sum(~np.isfinite(table[0])))

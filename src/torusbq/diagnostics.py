@@ -1,12 +1,16 @@
-"""2D vorticity diagnostics: log-Gronwall quantities, blow-up monitors, energy budget.
+"""2D vorticity diagnostics: log-Gronwall quantities, blow-up monitors.
 
 The scalar vorticity w = -d2 u1 + d1 u2 closes on itself in 2D (no vortex
 stretching), which is what the blow-up monitors exploit:
 
 * tau_R fires when |grad u|_inf exceeds R;
-* Gamma_R fires when |w|_{L^2} + |w|_{L^4} + int |grad w|_{L^2} ds (plus the
-  control budget int |h|_{H0} ds in controlled runs) exceeds R; the integral
-  is the trajectory table's int_grad_w_h column, written once per row.
+* Gamma_R (2D only) fires when |w|_{L^2} + |w|_{L^4} + int |grad w|_{L^2} ds
+  (plus the control budget int |h|_{H0} ds in controlled runs) exceeds R;
+  the integral is the trajectory table's int_grad_w_h column, written once
+  per row.
+
+Each monitor names the columns it watches; solver.run, stopped by it, then
+computes them.  The energy budget is run's energy_residual column.
 
 gronwall_record evaluates the log-Gronwall quantities driving the
 no-blow-up argument: Y = 1 + |grad w|_{L^4}^4 + |grad theta|_{L^4}^4, the
@@ -130,9 +134,10 @@ class StoppingRule:
 
     kind "tau_R" watches |grad u|_inf; "gamma_R" watches |w|_{L^2} +
     |w|_{L^4} + int (|grad w|_{L^2} + |h|_{H0}) ds, whose integral is the
-    table column int_grad_w_h, written once per row by solver.run.  Both read
-    full diagnostic rows, fires only the last one.  Thresholds are monotone: a
-    larger R never fires earlier on the same path.
+    table column int_grad_w_h, written once per row by solver.run.  gamma_R
+    is 2D only: run refuses it on a 3D grid, where w is not a scalar and its
+    columns are NaN.  fires reads the columns only at the last row.
+    Thresholds are monotone: a larger R never fires earlier on the same path.
     """
 
     kind: str
@@ -142,34 +147,18 @@ class StoppingRule:
         if self.kind not in RULE_COLUMNS:
             raise ValueError(f"unknown stopping rule kind {self.kind!r}")
 
+    @property
+    def columns(self) -> tuple:
+        """The table columns whose sum the rule watches."""
+        return RULE_COLUMNS[self.kind]
+
     def fires(self, record: TrajectoryRecord) -> bool:
         """Whether the functional exceeds the threshold at the last row."""
-        last = sum(record.column(name)[-1] for name in RULE_COLUMNS[self.kind])
+        last = sum(record.column(name)[-1] for name in self.columns)
         return bool(np.isfinite(last) and last > self.threshold)
 
     def describe(self) -> str:
         return f"{self.kind}(threshold={self.threshold:g})"
-
-
-def check_stopping(record: TrajectoryRecord, rule: StoppingRule) -> Optional[float]:
-    """First recorded time the rule's running functional exceeds its threshold."""
-    values = sum(record.column(name) for name in RULE_COLUMNS[rule.kind])
-    hits = np.nonzero(np.isfinite(values) & (values > rule.threshold))[0]
-    if len(hits) == 0:
-        return None
-    return float(record.column("t")[hits[0]])
-
-
-def energy_budget(record: TrajectoryRecord) -> np.ndarray:
-    """Per-step residuals of the deterministic kinetic-energy identity, whose
-    work terms are the buoyancy's and, in a controlled run, the control's.
-
-    Only meaningful without noise; stochastic budgets hold in expectation and
-    are checked through ensembles instead, so epsilon > 0 records are refused.
-    """
-    if record.epsilon > 0:
-        raise ValueError("energy budget applies to deterministic (epsilon=0) runs")
-    return record.column("energy_residual")
 
 
 # -- vorticity-form consistency --------------------------------------------------

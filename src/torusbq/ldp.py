@@ -29,7 +29,7 @@ import numpy as np
 
 from .forcing import QWienerSpec
 from .solver import (
-    LIGHT_COLUMNS,
+    COLUMNS,
     Control,
     SolverConfig,
     TrajectoryRecord,
@@ -71,16 +71,15 @@ def _column_value(column: str, reduce, config, record: TrajectoryRecord) -> floa
 
 def _column(column: str, reduce) -> tuple:
     """The FUNCTIONALS entry of reduce(column): its builder and its functional
-    are partials of _column_value (picklable), and it needs full diagnostics
-    unless light rows record the column."""
-    return partial(partial, _column_value, column, reduce), column not in LIGHT_COLUMNS
+    are partials of _column_value (picklable), and it reads that one column."""
+    return partial(partial, _column_value, column, reduce), (column,)
 
 
 _LAST = itemgetter(-1)
 
-#: name -> (builder(config, **params) -> functional, needs full diagnostics)
+#: name -> (builder(config, **params) -> functional, the columns it reads)
 FUNCTIONALS = {
-    "terminal_mode_amplitude": (_TerminalModeAmplitude, False),
+    "terminal_mode_amplitude": (_TerminalModeAmplitude, ()),  # reads u(T) only
     "terminal_l2_u": _column("l2_u", _LAST),
     "sup_l2_u": _column("l2_u", np.max),
     "terminal_l2_theta": _column("l2_theta", _LAST),
@@ -115,7 +114,8 @@ class RareEvent:
         return builder(config, **self.params)
 
     @property
-    def needs_full_diagnostics(self) -> bool:
+    def columns(self) -> tuple:
+        """The table columns the functional reads."""
         return FUNCTIONALS[self.functional][1]
 
     def realized(self, value):
@@ -148,16 +148,17 @@ def control_cost(h: Control, spec: QWienerSpec, t_end: float) -> float:
 
 
 def solve_skeleton(
-    config: SolverConfig, h: Optional[Control], full_diagnostics: bool = True
+    config: SolverConfig, h: Optional[Control], columns: Sequence[str] = COLUMNS
 ) -> TrajectoryRecord:
-    """Deterministic controlled trajectory (the noise-free system plus P f h).
+    """Deterministic controlled trajectory (the noise-free system plus P f h),
+    its rows computing columns (see solver.run).
 
     Raises ValueError, before any step, unless config is 2D, where the
     skeleton map is defined."""
     if config.grid.dimension != 2:
         raise ValueError(f"the skeleton map needs dimension 2, got {config.grid.dimension}")
     cfg = dataclasses.replace(config, epsilon=0.0, control=h)
-    return run(cfg, full_diagnostics=full_diagnostics)
+    return run(cfg, columns=columns)
 
 
 # -- rare-event Monte Carlo --------------------------------------------------------
@@ -185,7 +186,7 @@ def mc_rare_event(
     cfg = dataclasses.replace(config, epsilon=epsilon)
     functional = event.build(cfg)
     if epsilon == 0.0:
-        value = functional(run(cfg))
+        value = functional(run(cfg, columns=event.columns))
         p = 1.0 if event.realized(value) else 0.0
         return p, (p, p)
     (values,) = run_ensemble(
@@ -194,7 +195,7 @@ def mc_rare_event(
         master_seed,
         [functional],
         n_jobs=n_jobs,
-        full_diagnostics=event.needs_full_diagnostics,
+        columns=event.columns,
     )
     # a blown-up path's NaN value realizes neither direction: a miss
     p = np.count_nonzero(event.realized(values)) / n_paths
@@ -281,11 +282,7 @@ def minimize_cost(
         params = np.asarray(params, dtype=np.float64).reshape(shape)
         key = params.tobytes()
         if key not in values:
-            rec = solve_skeleton(
-                config,
-                family.control(params, t_end),
-                full_diagnostics=event.needs_full_diagnostics,
-            )
+            rec = solve_skeleton(config, family.control(params, t_end), event.columns)
             values[key] = functional(rec)
         return values[key]
 

@@ -24,8 +24,8 @@ and that step's (u . grad) u all read the same transform.  A step whose
 state has no cached summary first bounds |grad u|_inf from below by the
 grid RMS of grad u, which Parseval gives from the coefficients; once that
 RMS reaches 2R, phi = 0 exactly (the sup is at least the RMS) and grad u is
-never transformed.  Light-row runs whose velocity gradient sits past 2R
-step that way.
+never transformed.  Runs whose rows do not compute linf_grad_u (see run's
+columns) and whose velocity gradient sits past 2R step that way.
 
 The momentum terms transformed per step are thus grad u (with the samples of
 u) unless cached or settled by the RMS bound, theta for a nonzero buoyancy
@@ -373,11 +373,9 @@ COLUMNS = CSV_COLUMNS + (
     "cfl_violated",
 )
 _COL = {name: i for i, name in enumerate(COLUMNS)}
-#: The columns a light row (run's full_diagnostics=False) records: what
-#: stepping itself produces.  The others keep their BLANK_ROW value.
-LIGHT_COLUMNS = tuple(
-    "t l2_u l2_theta h_h0 phi_value cfl cfl_violated div_defect stop_flag".split()
-)
+#: column -> the columns its value is built from, which a row computing it
+#: also computes
+_INPUTS = {"energy_residual": ("l2_u",), "int_grad_w_h": ("l2_grad_w", "h_h0")}
 
 #: A table row before anything is recorded in it.
 BLANK_ROW = np.full(len(COLUMNS), np.nan)
@@ -393,12 +391,12 @@ class TrajectoryRecord:
     """The diagnostics of one trajectory as a float64 table, plus its outcome.
 
     values has one row per recorded state and its columns in COLUMNS order; a
-    column left uncomputed keeps its BLANK_ROW value: NaN, but 1 for phi_value
-    and 0 for energy_residual, stop_flag, h_h0, cfl and cfl_violated (the
-    flags hold 0 or 1); run returns it read-only.  rows is a read-only record
-    view of the same memory, for attribute readers (rows[-1].l2_u).
+    column the run did not compute keeps its BLANK_ROW value: NaN, but 1 for
+    phi_value and 0 for energy_residual, stop_flag, h_h0, cfl and cfl_violated
+    (the flags hold 0 or 1); run returns it read-only.  rows is a read-only
+    record view of the same memory, for attribute readers (rows[-1].l2_u).
     int_grad_w_h, Gamma_R's int (|grad w|_{L^2} + |h|_{H0}) ds, is 0 on a 2D
-    full initial row, then the previous row's value plus dt times its integrand.
+    initial row, then the previous row's value plus dt times its integrand.
     """
 
     values: np.ndarray = dataclass_field(
@@ -407,7 +405,6 @@ class TrajectoryRecord:
     stop_reason: Optional[str] = None
     blown_up: bool = False
     final_state: Optional[State] = None
-    epsilon: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, _COL[name]]
@@ -419,51 +416,55 @@ class TrajectoryRecord:
         return view
 
 
-#: The columns read from theta alone.
-_THETA_COLUMNS = [
-    _COL[name] for name in "l2_theta hs_theta linf_grad_theta linf_theta".split()
-]
+def _l2(field, s):
+    return parseval_l2(field.grid, field.coefficients)
 
 
-def _diagnostic_row(
-    row, state: State, config: SolverConfig, full: bool, theta_row=None
-):
-    """Write the diagnostics of state into the blank table row.
+#: column -> (the field it is a norm of, norm(field, config.s)); the fields
+#: are u, theta and, on a 2D grid only, the vorticity w and grad w
+_NORMS = {
+    "linf_grad_u": ("u", lambda u, s: velocity_grad_sup(u)),
+    "l2_u": ("u", _l2),
+    "hs_u": ("u", sobolev_norm),
+    "hs1_u": ("u", lambda u, s: sobolev_norm(u, min(s + 1, SOBOLEV_INDEX_CAP))),
+    "l2_theta": ("theta", _l2),
+    "hs_theta": ("theta", sobolev_norm),
+    "linf_grad_theta": ("theta", lambda theta, s: grad_sup(theta)),
+    "linf_theta": ("theta", lambda theta, s: lp_norm(theta, np.inf)),
+    "l2_w": ("w", _l2),
+    "l4_w": ("w", lambda w, s: lp_norm(w, 4)),
+    "l2_grad_w": ("grad_w", _l2),
+    "l4_grad_w": ("grad_w", lambda grad_w, s: lp_norm(grad_w, 4)),
+}
+#: The columns only a 2D grid computes, from its scalar vorticity w
+_2D_COLUMNS = frozenset("l2_w l4_w l2_grad_w l4_grad_w int_grad_w_h".split())
+
+
+def _diagnostic_row(row, state: State, config: SolverConfig, columns, theta_row=None):
+    """Write t and the norms and h_h0 named in the set columns into the
+    blank table row.  w and grad w are computed once, at the first vorticity
+    column: computed before grad u's summary, they slowed a 2D 128^2 step by
+    about 5%.
 
     theta_row, when given, is the row of a state holding the same theta
     object (a step that left theta alone: phi = 0 or u = 0); its theta
     columns are copied, bitwise what recomputing them would give.
     """
-    u, theta = state.u, state.theta
-    g = u.grid
+    u = state.u
     row[_COL["t"]] = state.t
-    row[_COL["l2_u"]] = parseval_l2(g, u.coefficients)
-    if theta_row is None:
-        row[_COL["l2_theta"]] = parseval_l2(g, theta.coefficients)
-    else:
-        row[_THETA_COLUMNS] = theta_row[_THETA_COLUMNS]
-    if config.control is not None:
+    fields = {"u": u, "theta": state.theta}
+    for name, (source, norm) in _NORMS.items():
+        if name not in columns:
+            continue
+        if source not in fields and u.grid.dimension == 2:
+            fields["w"] = perp_div_2d(u)
+            fields["grad_w"] = gradient(fields["w"])
+        if source in fields:
+            j = _COL[name]
+            copy = theta_row is not None and source == "theta"
+            row[j] = theta_row[j] if copy else norm(fields[source], config.s)
+    if "h_h0" in columns and config.control is not None:
         row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
-    if not full:
-        # a light row (LIGHT_COLUMNS): run fills in the step info
-        return
-    linf_grad_u = velocity_grad_sup(u)
-    row[_COL["linf_grad_u"]] = linf_grad_u
-    if config.cutoff_R > 0:
-        row[_COL["phi_value"]] = cutoff(linf_grad_u, config.cutoff_R)
-    row[_COL["hs_u"]] = sobolev_norm(u, config.s)
-    row[_COL["hs1_u"]] = sobolev_norm(u, min(config.s + 1, SOBOLEV_INDEX_CAP))
-    if theta_row is None:
-        row[_COL["hs_theta"]] = sobolev_norm(theta, config.s)
-        row[_COL["linf_grad_theta"]] = grad_sup(theta)
-        row[_COL["linf_theta"]] = lp_norm(theta, np.inf)
-    if g.dimension == 2:
-        w = perp_div_2d(u)
-        row[_COL["l2_w"]] = parseval_l2(g, w.coefficients)
-        row[_COL["l4_w"]] = lp_norm(w, 4)
-        grad_w = gradient(w)
-        row[_COL["l2_grad_w"]] = parseval_l2(g, grad_w.coefficients)
-        row[_COL["l4_grad_w"]] = lp_norm(grad_w, 4)
 
 
 def _energy_residual(prev: State, new: State, rows, config: SolverConfig) -> float:
@@ -557,7 +558,7 @@ def run(
     observers: Sequence[Callable] = (),
     stopping_rules: Sequence = (),
     initial_state: Optional[State] = None,
-    full_diagnostics: bool = True,
+    columns: Sequence[str] = COLUMNS,
 ) -> TrajectoryRecord:
     """Integrate to t_end, recording diagnostics each step.
 
@@ -567,30 +568,41 @@ def run(
 
     The table (see TrajectoryRecord) is allocated once, one row per state up
     to t_end; record.values is the part written so far, so a stop or a
-    blow-up truncates it.  Blow-up ends the record, instead of raising, with a
-    blank row holding t, stop_flag = 1 and NaN phi_value and energy_residual.
-    Observers get obs(state, record.rows[-1]) for every state reached.
-    Stopping rules (diagnostics.StoppingRule) are evaluated on the growing
-    record, including the initial row.  full_diagnostics=False records light
-    rows, for large ensembles: only the LIGHT_COLUMNS; every stopping rule
-    reads columns they leave out, so it refuses any.
+    blow-up truncates it.  Every row holds the step info: t, phi_value, cfl,
+    cfl_violated, div_defect and stop_flag.  Beyond that a row computes the
+    named columns (every column by default), the columns the stopping rules
+    watch, and their inputs: energy_residual reads l2_u, int_grad_w_h reads
+    l2_grad_w and h_h0.  The initial row's phi_value is the cut-off of its
+    linf_grad_u, NaN when that is not computed (1 without a cut-off).
+    Blow-up ends the record, instead of raising, with a blank row holding t,
+    stop_flag = 1 and NaN phi_value and energy_residual.  Observers get
+    obs(state, record.rows[-1]) for every state reached.  Stopping rules
+    (diagnostics.StoppingRule) are evaluated on the growing record, including
+    the initial row.  Raises ValueError, before any step, for an unknown
+    column name and for a vorticity rule (gamma_R) on a 3D grid.
     """
     if config.epsilon > 0 and stream is None:
         raise ValueError("stochastic runs need a RandomStream")
-    if stopping_rules and not full_diagnostics:
-        names = ", ".join(r.describe() for r in stopping_rules)
-        msg = "read full diagnostic rows, which light rows leave NaN"
-        raise ValueError(f"{names} {msg}; pass full_diagnostics=True")
+    named = set(columns).union(*(rule.columns for rule in stopping_rules))
+    if not named.issubset(_COL):
+        raise ValueError(f"unknown trajectory columns {sorted(named.difference(_COL))}")
+    d = config.grid.dimension
+    for rule in stopping_rules:
+        if d != 2 and not _2D_COLUMNS.isdisjoint(rule.columns):
+            raise ValueError(f"{rule.describe()} watches the 2D vorticity, on a {d}D grid")
+    columns = named.union(*(_INPUTS.get(name, ()) for name in named))
     state = initial_state if initial_state is not None else build_initial_state(config)
     state = _prepare_state(state, config)
 
     table = np.repeat(BLANK_ROW[None], config.n_steps + 1, axis=0)
-    record = TrajectoryRecord(epsilon=config.epsilon)
+    record = TrajectoryRecord()
     for i, row in enumerate(table):
         record.values = table[: i + 1]
         if i == 0:
-            _diagnostic_row(row, state, config, full_diagnostics)
-            if full_diagnostics and config.grid.dimension == 2:
+            _diagnostic_row(row, state, config, columns)
+            if config.cutoff_R > 0:  # the cut-off of an uncomputed (NaN) sup is NaN
+                row[_COL["phi_value"]] = cutoff(row[_COL["linf_grad_u"]], config.cutoff_R)
+            if "int_grad_w_h" in columns and config.grid.dimension == 2:
                 row[_COL["int_grad_w_h"]] = 0.0
         else:
             try:
@@ -602,17 +614,18 @@ def run(
                 record.stop_reason = f"blow_up:{exc.diagnostic}"
                 record.blown_up = True
                 break
-            theta_row = table[i - 1] if new_state.theta is state.theta else None
-            _diagnostic_row(row, new_state, config, full_diagnostics, theta_row)
+            prev = table[i - 1]
+            theta_row = prev if new_state.theta is state.theta else None
+            _diagnostic_row(row, new_state, config, columns, theta_row)
             row[_COL["phi_value"]] = info["phi"]
             row[_COL["cfl"]] = info["cfl"]
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
             row[_COL["div_defect"]] = info["div_defect"]
-            if full_diagnostics:
-                prev = table[i - 1]
+            if "energy_residual" in columns:
                 row[_COL["energy_residual"]] = _energy_residual(
                     state, new_state, table[i - 1 : i + 1], config
                 )
+            if "int_grad_w_h" in columns:
                 row[_COL["int_grad_w_h"]] = prev[_COL["int_grad_w_h"]] + config.dt * (
                     prev[_COL["l2_grad_w"]] + prev[_COL["h_h0"]]
                 )
@@ -638,14 +651,10 @@ def check_n_jobs(n_jobs: int):
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 
 
-def _ensemble_block(config, master_seed, functionals, full_diagnostics, paths):
+def _ensemble_block(config, master_seed, functionals, columns, paths):
     out = np.empty((len(functionals), len(paths)))
     for i, p in enumerate(paths):
-        rec = run(
-            config,
-            stream=RandomStream(master_seed, p),
-            full_diagnostics=full_diagnostics,
-        )
+        rec = run(config, stream=RandomStream(master_seed, p), columns=columns)
         out[:, i] = [fn(rec) for fn in functionals]
     return out
 
@@ -656,18 +665,19 @@ def run_ensemble(
     master_seed: int,
     functionals: Sequence[Callable[[TrajectoryRecord], float]],
     n_jobs: int = 1,
-    full_diagnostics: bool = True,
+    columns: Sequence[str] = COLUMNS,
 ) -> np.ndarray:
     """Independent trajectories on per-path streams, gathered in path order.
 
     Returns a (len(functionals), n_paths) float64 array whose row j holds
-    functionals[j] of every path, whatever n_jobs.  n_jobs > 1 needs picklable
-    functionals and starts min(n_jobs, path blocks, usable cores) workers.
+    functionals[j] of every path, whatever n_jobs; each path's rows compute
+    columns (see run).  n_jobs > 1 needs picklable functionals and starts
+    min(n_jobs, path blocks, usable cores) workers.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     check_n_jobs(n_jobs)
-    block = partial(_ensemble_block, config, master_seed, functionals, full_diagnostics)
+    block = partial(_ensemble_block, config, master_seed, functionals, columns)
     if n_jobs == 1:
         return block(np.arange(n_paths))
     from concurrent.futures import ProcessPoolExecutor

@@ -63,6 +63,21 @@ def test_ou_toy_skeleton_solve():
     assert amplitude == pytest.approx(want, rel=1e-10)
 
 
+def test_timed_event_reads_what_the_original_reads():
+    """The OU workloads' timed copy of terminal_mode_amplitude passes the
+    original's declared columns through, so its rows compute the same."""
+    from torusbq import ldp
+
+    saved = dict(ldp.FUNCTIONALS)
+    try:
+        event = WORKLOADS_MODULE.timed_event(WORKLOADS_MODULE.CallbackClock(), 0.1)
+        assert event.functional == WORKLOADS_MODULE.TIMED_FUNCTIONAL
+        assert event.columns == ldp.FUNCTIONALS["terminal_mode_amplitude"][1] == ()
+    finally:
+        ldp.FUNCTIONALS.clear()
+        ldp.FUNCTIONALS.update(saved)
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_setup(name, tmp_path):
     """Each workload builds its inputs and runs one checked main call; the

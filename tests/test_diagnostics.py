@@ -4,8 +4,6 @@ import pytest
 from torusbq.diagnostics import (
     GronwallRecord,
     StoppingRule,
-    check_stopping,
-    energy_budget,
     gronwall_record,
     vorticity_consistency,
 )
@@ -197,21 +195,26 @@ class TestGronwall:
             gronwall_record(state, cfg)
 
 
+def stopping_time(cfg, rule):
+    """The time run stops cfg at by rule, or None if it runs to t_end."""
+    rec = run(cfg, stopping_rules=[rule])
+    return None if rec.stop_reason is None else float(rec.column("t")[-1])
+
+
 class TestStopping:
-    def shear_record(self, grid, T=1.0, dt=0.01):
-        cfg = SolverConfig(
+    def shear_config(self, grid, T=1.0, dt=0.01):
+        return SolverConfig(
             grid=grid, dt=dt, t_end=T, init=InitialCondition(velocity="shear")
         )
-        return run(cfg), cfg
 
     def test_infinite_threshold(self, grid):
-        rec, _ = self.shear_record(grid, T=0.1)
-        assert check_stopping(rec, StoppingRule("tau_R", np.inf)) is None
+        cfg = self.shear_config(grid, T=0.1)
+        assert stopping_time(cfg, StoppingRule("tau_R", np.inf)) is None
 
     def test_immediate_breach(self, grid):
-        rec, _ = self.shear_record(grid, T=0.1)
+        cfg = self.shear_config(grid, T=0.1)
         # |grad u0|_inf = 1 > 0.5
-        assert check_stopping(rec, StoppingRule("tau_R", 0.5)) == 0.0
+        assert stopping_time(cfg, StoppingRule("tau_R", 0.5)) == 0.0
 
     def test_run_stops_at_rule(self, grid):
         cfg = SolverConfig(
@@ -223,11 +226,9 @@ class TestStopping:
         assert len(rec.rows) == 1  # fired on the initial row
 
     def test_monotone_in_threshold(self, grid):
-        rec, _ = self.shear_record(grid, T=1.0)
-        rule_small = StoppingRule("gamma_R", 5.0)
-        rule_big = StoppingRule("gamma_R", 7.0)
-        t_small = check_stopping(rec, rule_small)
-        t_big = check_stopping(rec, rule_big)
+        cfg = self.shear_config(grid, T=1.0)
+        t_small = stopping_time(cfg, StoppingRule("gamma_R", 5.0))
+        t_big = stopping_time(cfg, StoppingRule("gamma_R", 7.0))
         if t_small is not None and t_big is not None:
             assert t_big >= t_small
 
@@ -244,14 +245,13 @@ class TestStopping:
             t_end=T,
             init=InitialCondition(temperature="sine", temperature_amplitude=1.0),
         )
-        rec = run(cfg)
         c2 = np.sqrt(2 * np.pi**2)
         c4 = ((2 * np.pi) ** 2 * 3.0 / 8.0) ** 0.25
         ts = np.linspace(0, T, 4001)
         exact = (c2 + c4) * (1 - np.exp(-ts)) + c2 * (ts - 1 + np.exp(-ts))
         threshold = float(np.interp(1.0, ts, exact))  # crossed near t = 1
         t_exact = ts[np.argmax(exact > threshold)]
-        t_disc = check_stopping(rec, StoppingRule("gamma_R", threshold))
+        t_disc = stopping_time(cfg, StoppingRule("gamma_R", threshold))
         assert t_disc is not None
         assert abs(t_disc - t_exact) <= 0.05 + 2 * dt
 
@@ -296,12 +296,27 @@ class TestStopping:
         rule = StoppingRule("gamma_R", float(np.median(gamma)))
         first = int(np.argmax(gamma > rule.threshold))
         assert first > 0
-        assert check_stopping(rec, rule) == rec.column("t")[first]
         stopped = run(cfg, stream=RandomStream(3), stopping_rules=[rule])
         assert len(stopped.values) == first + 1
         assert stopped.stop_reason == rule.describe()
-        light = run(cfg, stream=RandomStream(3), full_diagnostics=False)
-        assert np.all(np.isnan(light.column("int_grad_w_h")))
+        unnamed = run(cfg, stream=RandomStream(3), columns=("l2_grad_w", "h_h0"))
+        assert np.all(np.isnan(unnamed.column("int_grad_w_h")))
+
+    def test_gamma_refused_on_a_3d_grid(self):
+        # the vorticity columns are NaN in 3D, so gamma_R could never fire
+        cfg = SolverConfig(
+            grid=Grid(3, 8),
+            dt=0.01,
+            t_end=0.05,
+            init=InitialCondition(velocity="taylor_green"),
+        )
+        states = []
+        observe = [lambda state, row: states.append(state)]
+        msg = r"gamma_R\(threshold=1e-09\) watches the 2D vorticity, on a 3D grid"
+        with pytest.raises(ValueError, match=msg):
+            run(cfg, observe, stopping_rules=[StoppingRule("gamma_R", 1e-9)])
+        assert states == []  # refused before the initial row
+        assert stopping_time(cfg, StoppingRule("tau_R", 1e-9)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,16 +328,16 @@ class TestStopping:
 class TestEnergyBudget:
     def test_zero_flow(self, grid):
         cfg = SolverConfig(grid=grid, dt=0.01, t_end=0.05)
-        res = energy_budget(run(cfg))
+        res = run(cfg).column("energy_residual")
         assert np.max(np.abs(res)) == 0.0
 
     def test_result_cannot_edit_record(self, grid):
         rec = run(SolverConfig(grid=grid, dt=0.01, t_end=0.05))
         with pytest.raises(ValueError, match="read-only"):
-            energy_budget(rec)[0] = 1.0
+            rec.column("energy_residual")[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             rec.values[0, 0] = 1.0
-        assert np.max(np.abs(energy_budget(rec))) == 0.0
+        assert np.max(np.abs(rec.column("energy_residual"))) == 0.0
 
     def test_control_work_balanced(self):
         # the mean mode's constant drift does work on u and nothing else does
@@ -338,15 +353,7 @@ class TestEnergyBudget:
         )
         rec = run(cfg)
         assert rec.column("l2_u")[-1] > 0.01
-        assert np.max(np.abs(energy_budget(rec))) < 1e-14
-
-    def test_refuses_stochastic(self, grid):
-        cfg = SolverConfig(
-            grid=grid, dt=0.01, t_end=0.05, epsilon=0.5, noise=single_mode_noise(grid)
-        )
-        rec = run(cfg, stream=RandomStream(0))
-        with pytest.raises(ValueError):
-            energy_budget(rec)
+        assert np.max(np.abs(rec.column("energy_residual"))) < 1e-14
 
 
 class TestVorticityConsistency:

@@ -951,6 +951,19 @@ class TestCli:
         assert capsys.readouterr().out == f"wrote {files} to {out}\n"
         assert {p.name for p in out.iterdir()} == set(files.split(", "))
 
+    def test_final_state_does_not_depend_on_the_timeseries(self, tmp_path):
+        # without timeseries.csv the rows compute no column, so no step reads
+        # a grad u its row cached: the cut-off takes phi from a fresh sup
+        snapshots = []
+        for timeseries in ("true", "false"):
+            out = tmp_path / timeseries
+            text = SIM_CONFIG.format(out=out) + f"timeseries = {timeseries}\n"
+            text = text.replace("[physics]\n", "[physics]\ncutoff_R = 0.7\n")
+            cfg = write_config(tmp_path, text)
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            snapshots.append((out / "state_final.bqsf").read_bytes())
+        assert snapshots[0] == snapshots[1]
+
     @pytest.mark.parametrize(
         "command, text, paths",
         [("ensemble", SIM_CONFIG, "0"), ("ldp-mc", LDP_CONFIG, "50")],

@@ -22,6 +22,8 @@ from torusbq.ldp import (
     varadhan_gap,
 )
 from torusbq.solver import (
+    BLANK_ROW,
+    COLUMNS,
     Control,
     InitialCondition,
     NoiseModel,
@@ -342,41 +344,44 @@ def test_mode_index_outside_the_retained_modes(mode_index):
         event.build(cfg)
 
 
-def test_functional_flags():
-    """Only sup_linf_theta reads a column that light rows leave out."""
-    assert {name: needs_full for name, (_, needs_full) in FUNCTIONALS.items()} == {
-        "terminal_mode_amplitude": False,
-        "terminal_l2_u": False,
-        "sup_l2_u": False,
-        "terminal_l2_theta": False,
-        "sup_linf_theta": True,
+def test_functional_columns():
+    """Each functional declares the columns it reads: a column functional its
+    one column, terminal_mode_amplitude none (it reads the final state)."""
+    assert {name: columns for name, (_, columns) in FUNCTIONALS.items()} == {
+        "terminal_mode_amplitude": (),
+        "terminal_l2_u": ("l2_u",),
+        "sup_l2_u": ("l2_u",),
+        "terminal_l2_theta": ("l2_theta",),
+        "sup_linf_theta": ("linf_theta",),
     }
 
 
+#: what every row holds, whatever its columns name
+STEP_INFO = ("t", "phi_value", "cfl", "cfl_violated", "div_defect", "stop_flag")
+
+
 @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
-def test_light_row_flag(name):
-    """A functional flagged light reads the same value from light rows as
-    from full rows of the same path; one flagged full reads NaN from light
-    rows, which is why it needs the full ones."""
+def test_declared_columns_suffice(name):
+    """A path whose rows compute exactly a functional's declared columns gives
+    its value, bitwise that of the same path computing every column; the
+    columns it does not declare keep their BLANK_ROW value."""
     grid = Grid(2, 16)
     spec = default_qwiener(2, 3)
     cfg = SolverConfig(
         grid=grid,
         dt=0.01,
         t_end=0.1,
-        cutoff_R=0.7,  # |grad u0|_inf = 1: phi starts inside (0, 1)
+        cutoff_R=0.7,  # |grad u0|_inf = sqrt(2) >= 2R: phi starts at 0
         epsilon=0.25,
         noise=NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec))),
         init=InitialCondition(velocity="taylor_green", temperature="sine"),
     )
-    builder, needs_full = FUNCTIONALS[name]
+    builder, columns = FUNCTIONALS[name]
     functional = builder(cfg)
-    full, light = (
-        functional(run(cfg, stream=RandomStream(6), full_diagnostics=full_rows))
-        for full_rows in (True, False)
-    )
-    assert np.isfinite(full)
-    if needs_full:
-        assert np.isnan(light)
-    else:
-        assert light == full
+    every = functional(run(cfg, stream=RandomStream(6)))
+    declared = run(cfg, stream=RandomStream(6), columns=columns)
+    assert np.isfinite(every)
+    assert functional(declared).hex() == every.hex()
+    blank = [j for j, c in enumerate(COLUMNS) if c not in columns + STEP_INFO]
+    want = np.broadcast_to(BLANK_ROW[blank], (len(declared.values), len(blank)))
+    assert np.array_equal(declared.values[:, blank], want, equal_nan=True)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 
 import numpy as np
@@ -17,7 +18,6 @@ from torusbq.ldp import FUNCTIONALS
 from torusbq.solver import (
     BLANK_ROW,
     COLUMNS,
-    LIGHT_COLUMNS,
     Control,
     InitialCondition,
     NoiseModel,
@@ -335,21 +335,59 @@ class TestRunBookkeeping:
         assert rec.stop_reason.startswith("blow_up:")
         assert rec.rows[-1].stop_flag == 1
 
+    #: what every row holds, whatever its columns name
+    STEP_INFO = {"t", "phi_value", "cfl", "cfl_violated", "div_defect", "stop_flag"}
+
+    @staticmethod
+    def recorded(values):
+        """The columns of a table holding anything but their BLANK_ROW value."""
+        blank = (values == BLANK_ROW) | (np.isnan(values) & np.isnan(BLANK_ROW))
+        return {COLUMNS[j] for j in np.flatnonzero(~blank.all(axis=0))}
+
     @pytest.mark.parametrize("kind", ["tau_R", "gamma_R"])
-    def test_light_rows_refuse_row_rules(self, kind):
-        # tau_R(0.5) stops this run on its initial row when rows are full
-        cfg = base_config(
-            n=8, dt=0.01, t_end=0.05, init=InitialCondition(velocity="taylor_green")
-        )
-        rule = StoppingRule(kind, 0.5)
-        with pytest.raises(ValueError, match=kind):
-            run(cfg, stopping_rules=[rule], full_diagnostics=False)
-        assert run(cfg, stopping_rules=[rule]).stop_reason == rule.describe()
+    def test_rules_compute_their_columns(self, kind):
+        # buoyancy from rest: grad u and the vorticity grow, so a rule at the
+        # median of its watched sum fires mid-run
+        cfg = base_config(n=16, init=InitialCondition(temperature="sine"))
+        full = run(cfg)
+        columns = StoppingRule(kind, 0.0).columns
+        watched = sum(full.column(name) for name in columns)
+        rule = StoppingRule(kind, float(np.median(watched)))
+        first = int(np.argmax(watched > rule.threshold))
+        assert first > 0
+        rec = run(cfg, stopping_rules=[rule], columns=())
+        assert rec.stop_reason == rule.describe()
+        assert len(rec.values) == first + 1 == len(run(cfg, stopping_rules=[rule]).values)
+        # gamma_R's integral also computes its integrand l2_grad_w (and h_h0,
+        # which stays 0 without a control)
+        own = set(columns) | ({"l2_grad_w"} if kind == "gamma_R" else set())
+        assert own <= self.recorded(rec.values) <= own | self.STEP_INFO
+        for name in own | self.STEP_INFO - {"stop_flag"}:
+            assert rec.column(name).tobytes() == full.column(name)[: first + 1].tobytes()
+
+    def test_unknown_column_refused(self):
+        with pytest.raises(ValueError, match=r"unknown trajectory columns \['bogus'\]"):
+            run(base_config(n=8), columns=("l2_u", "bogus"))
+
+    def test_initial_phi_value(self):
+        # |grad u0|_inf = sqrt(2) >= 2R: the initial cut-off is 0 when the
+        # row computes linf_grad_u, NaN (unknown) when it does not, and 1
+        # without a cut-off; later rows hold the step's phi either way
+        cfg = base_config(n=16, cutoff_R=0.7, init=InitialCondition(velocity="taylor_green"))
+        full = run(cfg)
+        assert full.rows[0].phi_value == cutoff(full.rows[0].linf_grad_u, 0.7) == 0.0
+        sup_only = run(cfg, columns=("linf_grad_u",))
+        assert sup_only.rows[0].phi_value == 0.0
+        bare = run(cfg, columns=())
+        assert np.isnan(bare.rows[0].phi_value)
+        assert bare.column("phi_value")[1:].tobytes() == full.column("phi_value")[1:].tobytes()
+        uncut = dataclasses.replace(cfg, cutoff_R=0.0)
+        assert run(uncut, columns=()).rows[0].phi_value == 1.0
 
     @staticmethod
     def controlled_noisy_config():
-        """2D 16^2 with a control, noise and a cut-off: |grad u0|_inf = 1 puts
-        phi inside (0, 1) from the start."""
+        """2D 16^2 with a control, noise and a cut-off: |grad u|_inf starts at
+        sqrt(2) > 2R = 1.4 and falls below 2R, so phi leaves 0 at step three."""
         grid = Grid(2, 16)
         spec = default_qwiener(2, 3)
         return SolverConfig(
@@ -364,15 +402,14 @@ class TestRunBookkeeping:
         )
 
     def test_light_rows_record_only_light_columns(self):
+        # a light row names no column: it holds the step info only
         cfg = self.controlled_noisy_config()
-        values = run(cfg, stream=RandomStream(5), full_diagnostics=False).values
-        blank = (values == BLANK_ROW) | (np.isnan(values) & np.isnan(BLANK_ROW))
-        recorded = {COLUMNS[j] for j in np.flatnonzero(~blank.all(axis=0))}
-        assert recorded <= set(LIGHT_COLUMNS)
-        assert recorded >= {"t", "l2_u", "l2_theta", "h_h0", "phi_value", "cfl"}
+        values = run(cfg, stream=RandomStream(5), columns=()).values
+        assert {"t", "phi_value", "cfl", "div_defect"} <= self.recorded(values)
+        assert self.recorded(values) <= self.STEP_INFO
 
-    @pytest.mark.parametrize("full_diagnostics", [False, True])
-    def test_unchanged_theta_columns_are_copied(self, monkeypatch, full_diagnostics):
+    @pytest.mark.parametrize("every_column", [False, True])
+    def test_unchanged_theta_columns_are_copied(self, monkeypatch, every_column):
         # on the OU toy no step moves theta (u = 0, then phi = 0): its columns
         # are computed on row 0 only and equal what recomputing them gives
         import torusbq.solver as solver_module
@@ -406,11 +443,11 @@ class TestRunBookkeeping:
             cfg,
             stream=RandomStream(4),
             observers=[lambda state, row: states.append(state)],
-            full_diagnostics=full_diagnostics,
+            columns=COLUMNS if every_column else ("l2_theta",),
         )
         assert len(states) == cfg.n_steps + 1
         assert all(state.theta is states[0].theta for state in states)
-        if full_diagnostics:
+        if every_column:
             assert calls["linf_grad_theta"] == 1
             expect = {
                 "hs_theta": lambda th: sobolev_norm(th, cfg.s),
@@ -512,11 +549,9 @@ class TestCutoffSemantics:
         assert np.array_equal(new_state.u.coefficients, expect.coefficients)
 
 
-    @pytest.mark.parametrize("full_diagnostics", [False, True])
+    @pytest.mark.parametrize("every_column", [False, True])
     @pytest.mark.parametrize("case", ["ou_toy", "decaying_taylor_green"])
-    def test_phi_equals_cutoff_of_transformed_sup(
-        self, monkeypatch, case, full_diagnostics
-    ):
+    def test_phi_equals_cutoff_of_transformed_sup(self, monkeypatch, case, every_column):
         # phi settled by the Parseval RMS bound must be the cutoff of the sup
         # a fresh transform of the pre-step velocity gives
         import torusbq.solver as solver_module
@@ -549,7 +584,7 @@ class TestCutoffSemantics:
             cfg,
             stream=RandomStream(4),
             observers=[lambda state, row: velocities.append(state.u)],
-            full_diagnostics=full_diagnostics,
+            columns=COLUMNS if every_column else (),
         )
         phis = rec.column("phi_value")[1:]
         expect = [
@@ -568,7 +603,7 @@ class TestCutoffSemantics:
         assert 0.0 in expect
         in_between = any(0.0 < phi < 1.0 for phi in expect)
         assert in_between == (case == "decaying_taylor_green")
-        if not full_diagnostics:
+        if not every_column:
             assert sup_calls[0] < cfg.n_steps  # the bound settled some steps
 
 
@@ -724,7 +759,7 @@ class TestEnsemble:
                     * np.sum(np.abs(perp_div_2d(rec.final_state.u).coefficients) ** 2)
                 ),
             ],
-            full_diagnostics=False,
+            columns=("l2_u",),
         )
         # discrete OU recursion variance for the (0, 1) mode pair
         rho = 1.0 / (1.0 + dt)

@@ -188,8 +188,9 @@ def test_advection_term(grid):
 
 
 def test_grad_u_transformed_once_per_state(grid, monkeypatch):
-    """velocity_grad_sup, _advection_term and the full row share one transform
-    of grad u: the only transform of a (d+1, d, *grid.shape) stack."""
+    """velocity_grad_sup, _advection_term and a row naming every column share
+    one transform of grad u: the only transform of a (d+1, d, *grid.shape)
+    stack."""
     stacks = []
     original = scipy.fft.ifftn
 
@@ -206,7 +207,7 @@ def test_grad_u_transformed_once_per_state(grid, monkeypatch):
     sup = velocity_grad_sup(u)
     _advection_term(u)
     row = BLANK_ROW.copy()
-    _diagnostic_row(row, State(0.0, u, theta), config, True)
+    _diagnostic_row(row, State(0.0, u, theta), config, set(COLUMNS))
     assert row[COLUMNS.index("linf_grad_u")] == sup
     assert stacks == [(grid.dimension + 1, grid.dimension) + grid.shape]
 

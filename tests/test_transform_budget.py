@@ -1,4 +1,4 @@
-"""Exact Fourier-transform counts of one step and one full diagnostic row.
+"""Exact Fourier-transform counts of one step and one diagnostic row.
 
 Transform counts are deterministic, unlike wall times, so they are the gate
 on the spectral core's cost: a change that adds a transform to the step or
@@ -78,8 +78,8 @@ def noisy_cutoff_config(dimension, n, intensity=additive_intensity):
     )
 
 
-#: (dimension, n) -> (step on a fresh state, full row of the stepped state,
-#: step on a state whose full row was taken), with additive noise
+#: (dimension, n) -> (step on a fresh state, row of the stepped state naming
+#: every column, step on a state whose such row was taken), with additive noise
 BUDGET = {
     (2, 32): (3, 5, 1),
     (3, 16): (3, 3, 1),
@@ -100,15 +100,19 @@ def test_step_and_row_budget(count_transforms, dimension, n):
     assert info["phi"] == 1.0
     assert used == fresh_step
 
-    # The full row of the new state transforms its grad u once (velocity
-    # samples included), theta once and grad theta once; in 2D also the
-    # vorticity and its gradient.  The energy residual needs none.
+    # A row naming no column transforms nothing.
+    _, used = count_transforms(_diagnostic_row, BLANK_ROW.copy(), new_state, config, set())
+    assert used == 0
+
+    # The row of the new state naming every column transforms its grad u
+    # once (velocity samples included), theta once and grad theta once; in
+    # 2D also the vorticity and its gradient.  The energy residual needs none.
     row = BLANK_ROW.copy()
-    _, used = count_transforms(_diagnostic_row, row, new_state, config, True)
+    _, used = count_transforms(_diagnostic_row, row, new_state, config, set(COLUMNS))
     assert np.isfinite(row[COLUMNS.index("linf_grad_u")])
     assert used == full_row
     rows = np.stack([BLANK_ROW, row])
-    _diagnostic_row(rows[0], state, config, False)
+    _diagnostic_row(rows[0], state, config, {"l2_u"})
     _, used = count_transforms(_energy_residual, state, new_state, rows, config)
     assert used == 0
 
@@ -128,7 +132,7 @@ def test_multiplicative_step_transforms_its_noise_sum(count_transforms, dimensio
     state = _prepare_state(build_initial_state(config), config)
     (new_state, _), used = count_transforms(step, state, config, stream, 0)
     assert used == fresh_step + 1
-    _diagnostic_row(BLANK_ROW.copy(), new_state, config, True)
+    _diagnostic_row(BLANK_ROW.copy(), new_state, config, set(COLUMNS))
     _, used = count_transforms(step, new_state, config, stream, 1)
     assert used == warm_step + 1
 
@@ -158,12 +162,12 @@ def test_saturated_cutoff_light_steps(count_transforms):
     assert info["phi"] == 1.0
     assert used == 2
 
-    # Later steps with light rows: the Parseval RMS of grad u settles
-    # phi = 0, so nothing is transformed; the rows need none either.
+    # Later steps with rows that name no column: the Parseval RMS of grad u
+    # settles phi = 0, so nothing is transformed; the rows need none either.
     for j in range(1, config.n_steps):
         (state, info), used = count_transforms(step, state, config, stream, j)
         assert info["phi"] == 0.0
         assert used == 0
         row = BLANK_ROW.copy()
-        _, used = count_transforms(_diagnostic_row, row, state, config, False)
+        _, used = count_transforms(_diagnostic_row, row, state, config, set())
         assert used == 0
