@@ -34,7 +34,6 @@ from .spectral import (
     Grid,
     SpectralVectorField,
     leray_project,
-    sobolev_norm,
 )
 
 
@@ -92,10 +91,6 @@ class QWienerSpec:
     @property
     def truncation(self) -> int:
         return len(self.modes)
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues))
 
 
 def _half_space_wavenumbers(dimension: int, count: int):
@@ -191,8 +186,6 @@ class NoiseIntensity:
     diagonal affine envelope (a0 + a1 u_i + a2 theta) componentwise.  The
     base fields must be nonempty and share one grid, which becomes `grid`;
     absent noise is `noise=None` in the solver configuration, not a mode.
-    The linear-growth and Lipschitz constants C1 = |a0|+|a1|+|a2| and
-    C2 = |a1|+|a2| are exposed for reporting.
     """
 
     mode: str
@@ -218,14 +211,6 @@ class NoiseIntensity:
             for s in self._stack.swapaxes(0, 1)
         )
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return abs(self.a1) + abs(self.a2)
-
-    @property
-    def growth_constant(self) -> float:
-        return abs(self.a0) + abs(self.a1) + abs(self.a2)
-
     def mode_samples(self, u, theta) -> np.ndarray:
         """The (d, m, *grid) samples stack of every f(u, theta) e_k, before
         projection, from one envelope evaluation (additive: the base stack)."""
@@ -237,14 +222,6 @@ class NoiseIntensity:
 
 def additive_intensity(fields: Sequence[SpectralVectorField]):
     return NoiseIntensity("additive", base_fields=tuple(fields))
-
-
-def multiplicative_intensity(
-    fields: Sequence[SpectralVectorField], a0=1.0, a1=0.0, a2=0.0
-):
-    return NoiseIntensity(
-        "multiplicative", base_fields=tuple(fields), a0=a0, a1=a1, a2=a2
-    )
 
 
 #: A projected coefficient of an additive intensity is kept only when its
@@ -345,52 +322,3 @@ def apply_noise(noise: NoiseModel, u, theta, inc: np.ndarray) -> SpectralVectorF
     """P sum_k sqrt(lambda_k) f(u, theta) e_k dW_k with dW = inc; divergence-free."""
     return weighted_sum(noise, u, theta, inc)
 
-
-def hs_norm(noise: NoiseModel, u, theta, s: int) -> float:
-    """Hilbert-Schmidt norm sqrt(sum_k lambda_k |P f(u,theta) e_k|_{H^s}^2).
-
-    Each mode is projected and normed alone, exactly as sobolev_norm gives
-    it for that mode, so one mode's coefficients are held at a time.
-    """
-    grid = noise.intensity.grid
-    modes = noise.intensity.mode_samples(u, theta)
-    total = 0.0
-    for k, lam in enumerate(noise.spec.eigenvalues):
-        if lam != 0.0:
-            mode = leray_project(SpectralVectorField(grid, samples=modes[:, k]))
-            total += lam * sobolev_norm(mode, s) ** 2
-    return float(np.sqrt(total))
-
-
-def ito_isometry_estimate(
-    noise: NoiseModel,
-    u,
-    theta,
-    dt: float,
-    n_steps: int,
-    n_paths: int,
-    stream: RandomStream,
-):
-    """Monte Carlo check of E|int P f dW|^2 = T * |P f|_{HS}^2 at frozen state.
-
-    Both sides use the coefficient (H^0) norm.  Returns (lhs, rhs,
-    relative_gap).  Increments are summed per path before a single intensity
-    application, which is exact here because the state is frozen.
-    """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    rhs = n_steps * dt * hs_norm(noise, u, theta, 0) ** 2
-    acc = np.zeros(n_paths)
-    for p in range(n_paths):
-        sp = RandomStream(stream.master_seed, p)
-        total = np.zeros(noise.spec.truncation)
-        for j in range(n_steps):
-            total += sample_increment(noise.spec, dt, sp, j)
-        summed = weighted_sum(noise, u, theta, total)
-        acc[p] = sobolev_norm(summed, 0) ** 2
-    lhs = float(np.sum(acc) / n_paths)
-    if rhs == 0.0:
-        gap = 0.0 if lhs == 0.0 else np.inf
-    else:
-        gap = abs(lhs - rhs) / rhs
-    return lhs, rhs, gap

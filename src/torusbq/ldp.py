@@ -92,7 +92,8 @@ class RareEvent:
     """Named trajectory functional crossing a threshold.
 
     functional must be a FUNCTIONALS key; direction "ge" watches
-    F >= threshold, "le" watches F <= threshold.
+    F >= threshold, "le" watches F <= threshold.  A NaN threshold is
+    refused, since no value realizes it; +-inf are accepted.
     """
 
     functional: str
@@ -108,6 +109,8 @@ class RareEvent:
             )
         if self.direction not in ("ge", "le"):
             raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
+        if np.isnan(self.threshold):
+            raise ValueError(f"{self.functional} threshold must not be NaN")
 
     def build(self, config: SolverConfig) -> Callable[[TrajectoryRecord], float]:
         builder, _ = FUNCTIONALS[self.functional]

@@ -105,7 +105,7 @@ class Control:
 
     times: increasing node times; samples[j] holds the H0 coordinates (one per
     retained noise mode) on [times[j], times[j+1]), the last block extending
-    to infinity.
+    to infinity.  Both must be finite.
     """
 
     times: np.ndarray
@@ -116,6 +116,8 @@ class Control:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         if self.times.ndim != 1 or len(self.times) == 0:
             raise ValueError("control needs at least one time node")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.samples))):
+            raise ValueError("control times and samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("control time nodes must be strictly increasing")
         if self.samples.shape[0] != len(self.times):

@@ -239,10 +239,6 @@ class SpectralScalarField(_Field):
     def from_coefficients(cls, grid: Grid, coeffs) -> "SpectralScalarField":
         return cls(grid, coeffs=cls._validated(grid, coeffs, np.complex128, "coeffs"))
 
-    def coefficient_at(self, k) -> complex:
-        """Single Fourier coefficient u_hat(k) for an integer wavenumber tuple."""
-        return complex(self.coefficients[self.grid.mode_index(k)])
-
 
 class GradientSummary(NamedTuple):
     """What the stepper and the diagnostics read from grad u.

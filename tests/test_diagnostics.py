@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from torusbq.diagnostics import (
-    GronwallRecord,
-    StoppingRule,
-    gronwall_record,
-    vorticity_consistency,
-)
+from oracles import gronwall_record, vorticity_consistency
+from torusbq.diagnostics import RULE_COLUMNS, StoppingRule
 from torusbq.forcing import (
+    NoiseIntensity,
     QWienerSpec,
     RandomStream,
     additive_intensity,
     default_mode_fields,
     default_qwiener,
-    multiplicative_intensity,
 )
 from torusbq.solver import (
     BLANK_ROW,
@@ -166,7 +162,8 @@ class TestGronwall:
         # sum in another order, hence the tolerance
         spec = default_qwiener(2, 5)
         fields = default_mode_fields(grid, spec)
-        noise = NoiseModel(spec, multiplicative_intensity(fields, a0=0.5, a1=0.7, a2=0.3))
+        intensity = NoiseIntensity("multiplicative", tuple(fields), 0.5, 0.7, 0.3)
+        noise = NoiseModel(spec, intensity)
         u = random_divfree(grid, 11)
         theta = SpectralScalarField.from_samples(grid, np.sin(grid.x_mesh[0]))
         rec = gronwall_record(State(0.0, u, theta), self.zero_cfg(grid, noise=noise))
@@ -193,6 +190,38 @@ class TestGronwall:
         state = State(0.0, SpectralVectorField.zero(g3), SpectralScalarField.zero(g3))
         with pytest.raises(ValueError):
             gronwall_record(state, cfg)
+
+    def test_matches_the_table_along_a_run(self):
+        # the oracle at every state of a controlled noisy run, through run's
+        # observers, against that state's row: |grad w|_{L^4} is the row's
+        # column bitwise, and the prefactor's quadrature norms of w and grad w
+        # (g less 1 and |u|_inf^2) meet the row's Parseval ones plus |h|_{H0}
+        grid = Grid(2, 16)
+        spec = default_qwiener(2, 4)
+        noise = NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec)))
+        cfg = SolverConfig(
+            grid=grid,
+            dt=0.01,
+            t_end=0.5,
+            epsilon=0.3,
+            noise=noise,
+            control=Control([0.0, 0.25], np.linspace(-1.0, 1.0, 8).reshape(2, 4)),
+            init=InitialCondition(velocity="taylor_green", temperature="sine"),
+        )
+        pairs = []
+
+        def observe(state, row):
+            rec = gronwall_record(state, cfg)
+            prefactor = rec.g - 1.0 - lp_norm(state.u, np.inf) ** 2
+            row_prefactor = row.l2_w + row.l2_grad_w + row.h_h0
+            pairs.append((rec.grad_w_l4, row.l4_grad_w, prefactor, row_prefactor))
+
+        record = run(cfg, stream=RandomStream(3), observers=[observe])
+        oracle_l4, row_l4, oracle_g, row_g = np.array(pairs).T
+        assert len(pairs) == len(record.values) == 51
+        assert np.array_equal(oracle_l4, row_l4)
+        assert np.all(record.column("h_h0") > 0.0)
+        np.testing.assert_allclose(oracle_g, row_g, rtol=1e-12, atol=0)
 
 
 def stopping_time(cfg, rule):
@@ -324,6 +353,18 @@ class TestStopping:
         with pytest.raises(ValueError, match="unknown stopping rule kind 'custom'"):
             StoppingRule("custom", 1.0)
 
+    @pytest.mark.parametrize("kind", sorted(RULE_COLUMNS))
+    def test_nan_threshold_refused(self, kind):
+        # nothing exceeds NaN, so such a rule would never fire
+        with pytest.raises(ValueError, match=f"{kind} threshold must not be NaN"):
+            StoppingRule(kind, float("nan"))
+
+    def test_infinite_thresholds_accepted(self, grid):
+        # +inf is "never" (test_infinite_threshold); -inf fires on row 0
+        cfg = self.shear_config(grid, T=0.1)
+        assert stopping_time(cfg, StoppingRule("tau_R", -np.inf)) == 0.0
+        assert stopping_time(cfg, StoppingRule("gamma_R", -np.inf)) == 0.0
+
 
 class TestEnergyBudget:
     def test_zero_flow(self, grid):
@@ -395,7 +436,8 @@ class TestVorticityConsistency:
         # four modes, the mean mode among them, under a state-dependent envelope
         spec = default_qwiener(2, 4)
         fields = default_mode_fields(grid, spec)
-        noise = NoiseModel(spec, multiplicative_intensity(fields, a0=0.5, a1=0.3))
+        intensity = NoiseIntensity("multiplicative", tuple(fields), 0.5, 0.3, 0.0)
+        noise = NoiseModel(spec, intensity)
         sups = self.sup_gaps(grid, noise)
         assert sups[0] / sups[1] >= 1.8
         # 0.025 measured; a twin that leaves the mean mode's forcing out of

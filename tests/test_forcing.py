@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import hs_norm, ito_isometry_estimate
 from torusbq.forcing import (
+    NoiseIntensity,
     NoiseModel,
     QWienerSpec,
     RandomStream,
@@ -9,9 +11,6 @@ from torusbq.forcing import (
     apply_noise,
     default_mode_fields,
     default_qwiener,
-    hs_norm,
-    ito_isometry_estimate,
-    multiplicative_intensity,
     sample_increment,
     weighted_sum,
 )
@@ -105,10 +104,6 @@ class TestSpec:
         with pytest.raises(ValueError):
             QWienerSpec((((0, 1), "cos"),), np.array([-1.0]))
 
-    def test_trace_finite(self):
-        spec = default_qwiener(2, 30)
-        assert np.isfinite(spec.trace)
-
 
 class TestIncrements:
     def test_empty(self):
@@ -156,7 +151,7 @@ class TestApplyNoise:
     def test_degenerate_multiplicative_matches_additive(self, grid):
         base = [cos_x2_field(grid)]
         fa = additive_intensity(base)
-        fm = multiplicative_intensity(base, a0=1.0, a1=0.0, a2=0.0)
+        fm = NoiseIntensity("multiplicative", tuple(base), 1.0, 0.0, 0.0)
         spec = single_mode_spec()
         rng = np.random.default_rng(0)
         u = SpectralVectorField.from_samples(
@@ -178,8 +173,8 @@ class TestApplyNoise:
 
     def test_output_divergence_free(self, grid):
         spec = default_qwiener(2, 6)
-        f = multiplicative_intensity(
-            default_mode_fields(grid, spec), a0=0.5, a1=1.0, a2=0.3
+        f = NoiseIntensity(
+            "multiplicative", tuple(default_mode_fields(grid, spec)), 0.5, 1.0, 0.3
         )
         rng = np.random.default_rng(5)
         u = SpectralVectorField.from_samples(
@@ -300,11 +295,9 @@ class TestHsNorm:
         assert abs(b - np.sqrt(2) * a) < 1e-12 * a
 
     def test_multiplicative_envelope_evaluated_once(self, grid, monkeypatch):
-        from torusbq.forcing import NoiseIntensity
-
         spec = default_qwiener(2, 6)
-        f = multiplicative_intensity(
-            default_mode_fields(grid, spec), a0=0.5, a1=0.7, a2=0.3
+        f = NoiseIntensity(
+            "multiplicative", tuple(default_mode_fields(grid, spec)), 0.5, 0.7, 0.3
         )
         rng = np.random.default_rng(12)
         u = SpectralVectorField.from_samples(
@@ -378,8 +371,8 @@ class TestConditions:
     def test_lipschitz_bound(self, grid):
         spec = default_qwiener(2, 5)
         fields = default_mode_fields(grid, spec)
-        f = multiplicative_intensity(fields, a0=0.2, a1=0.8, a2=0.5)
-        c2 = f.lipschitz_constant
+        f = NoiseIntensity("multiplicative", tuple(fields), 0.2, 0.8, 0.5)
+        c2 = abs(f.a1) + abs(f.a2)
         sup_factor = max(
             np.sqrt(lam) * lp_norm(fld, np.inf)
             for lam, fld in zip(spec.eigenvalues, fields)
@@ -410,8 +403,8 @@ class TestConditions:
 
     def test_linear_growth(self, grid):
         spec = default_qwiener(2, 5)
-        f = multiplicative_intensity(
-            default_mode_fields(grid, spec), a0=0.3, a1=0.6, a2=0.4
+        f = NoiseIntensity(
+            "multiplicative", tuple(default_mode_fields(grid, spec)), 0.3, 0.6, 0.4
         )
         rng = np.random.default_rng(17)
         ratios = []
@@ -430,4 +423,4 @@ class TestConditions:
         measured = max(ratios)
         assert np.isfinite(measured)
         # loose sanity bound: growth constant scaled by the field roughness
-        assert measured < 50 * f.growth_constant
+        assert measured < 50 * (abs(f.a0) + abs(f.a1) + abs(f.a2))

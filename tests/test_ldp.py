@@ -336,6 +336,15 @@ def test_event_validation():
         RareEvent("terminal_l2_u", 1.0, direction="above")
 
 
+@pytest.mark.parametrize("direction", ["ge", "le"])
+def test_nan_threshold_refused(direction):
+    # no value compares true with NaN: every estimate would read p_hat = 0
+    with pytest.raises(ValueError, match="terminal_l2_u threshold must not be NaN"):
+        RareEvent("terminal_l2_u", float("nan"), direction)
+    always = RareEvent("terminal_l2_u", -np.inf if direction == "ge" else np.inf, direction)
+    assert always.realized(0.5)
+
+
 @pytest.mark.parametrize("mode_index", [-1, 1])
 def test_mode_index_outside_the_retained_modes(mode_index):
     cfg = toy_config()  # one retained mode

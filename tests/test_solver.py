@@ -7,12 +7,12 @@ import pytest
 
 from torusbq.diagnostics import StoppingRule
 from torusbq.forcing import (
+    NoiseIntensity,
     QWienerSpec,
     RandomStream,
     additive_intensity,
     default_mode_fields,
     default_qwiener,
-    multiplicative_intensity,
 )
 from torusbq.ldp import FUNCTIONALS
 from torusbq.solver import (
@@ -114,6 +114,22 @@ class TestConfigValidation:
     def test_control_needs_noise(self):
         with pytest.raises(ValueError):
             base_config(control=Control.zero(1))
+
+    @pytest.mark.parametrize(
+        "times, samples",
+        [
+            ([np.nan], [[1.0]]),
+            ([0.0, np.nan], [[1.0], [2.0]]),
+            ([0.0, np.inf], [[1.0], [2.0]]),
+            ([0.0], [[np.nan]]),
+            ([0.0, 0.5], [[1.0], [-np.inf]]),
+        ],
+        ids=["nan-start", "nan-node", "inf-node", "nan-sample", "inf-sample"],
+    )
+    def test_control_refuses_non_finite(self, times, samples):
+        # a NaN node passed the ordering check and ran to t_end uncontrolled
+        with pytest.raises(ValueError, match="control times and samples must be finite"):
+            Control(times, samples)
 
     def test_control_mode_count(self):
         grid = Grid(2, 32)
@@ -264,7 +280,7 @@ class TestRunBookkeeping:
             kw["noise"] = NoiseModel(spec, additive_intensity(fields))
             kw["control"] = Control(np.array([0.0]), np.ones((1, 4)))
         elif case == "multiplicative_noise":
-            intensity = multiplicative_intensity(fields, a0=0.5, a1=0.3, a2=0.2)
+            intensity = NoiseIntensity("multiplicative", tuple(fields), 0.5, 0.3, 0.2)
             kw.update(noise=NoiseModel(spec, intensity), epsilon=0.5)
         elif case == "galerkin":
             kw["galerkin_modes"] = 2

@@ -13,12 +13,12 @@ import pytest
 import scipy.fft
 
 from torusbq.forcing import (
+    NoiseIntensity,
     QWienerSpec,
     RandomStream,
     additive_intensity,
     default_mode_fields,
     default_qwiener,
-    multiplicative_intensity,
 )
 from torusbq.solver import (
     BLANK_ROW,
@@ -127,7 +127,11 @@ def test_multiplicative_step_transforms_its_noise_sum(count_transforms, dimensio
     # The multiplicative envelope follows the state, so each step transforms
     # its noise sum: one transform more than the additive budget.
     fresh_step, _, warm_step = BUDGET[(dimension, n)]
-    config = noisy_cutoff_config(dimension, n, multiplicative_intensity)
+    config = noisy_cutoff_config(
+        dimension,
+        n,
+        lambda fields: NoiseIntensity("multiplicative", tuple(fields), 1.0, 0.0, 0.0),
+    )
     stream = RandomStream(5)
     state = _prepare_state(build_initial_state(config), config)
     (new_state, _), used = count_transforms(step, state, config, stream, 0)

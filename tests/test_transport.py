@@ -113,10 +113,10 @@ def test_spectral_mean_preserved():
     )
     u = galerkin_project(u, grid.n // 3)
     theta = SpectralScalarField.from_samples(grid, 2.0 + rng.standard_normal(grid.shape))
-    mean0 = theta.coefficient_at((0, 0))
+    mean0 = theta.coefficients[grid.mode_index((0, 0))]
     for _ in range(20):
         theta = advect(theta, u, 0.02, SPECTRAL)
-    assert abs(theta.coefficient_at((0, 0)) - mean0) < 1e-12
+    assert abs(theta.coefficients[grid.mode_index((0, 0))] - mean0) < 1e-12
 
 
 @pytest.mark.parametrize(
