@@ -24,6 +24,7 @@ stream reuses one generator, resetting its counter per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
@@ -121,6 +122,8 @@ def default_qwiener(
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     modes = []
     lams = []
     if include_mean:
@@ -201,6 +204,9 @@ class NoiseIntensity:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if not self.base_fields:
             raise ValueError(f"{self.mode} noise needs base fields")
+        for name in ("a0", "a1", "a2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         self.grid = self.base_fields[0].grid
         if any(f.grid != self.grid for f in self.base_fields):
             raise ValueError("base fields live on different grids")

@@ -85,7 +85,7 @@ SCHEMA = {
         "galerkin_modes": ("int", 0, "config.galerkin_modes", "galerkin_modes"),
         "advection": ("str", "semi_lagrangian", "scheme.kind", "advection"),
         "interpolation": ("str", "cubic", "scheme.interpolation", "interpolation"),
-        "cfl_cap": ("float", 1.0, "config.cfl_cap", None),
+        "cfl_cap": ("float", 1.0, "config.cfl_cap", "cfl_cap"),
         "init_velocity": ("str", "zero", "init.velocity", "velocity preset"),
         "init_velocity_amplitude": ("float", 1.0, "init.velocity_amplitude", None),
         "init_temperature": ("str", "zero", "init.temperature", "temperature preset"),

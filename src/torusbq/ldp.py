@@ -20,6 +20,7 @@ imports it the same way.  tests/test_layering.py pins this.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -229,8 +230,9 @@ class ControlFamily:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError("need at least one temporal block")
-        if self.box_bound <= 0:
-            raise ValueError("box bound must be positive")
+        if not 0 < self.box_bound < math.inf:
+            msg = f"box bound must be positive and finite, got {self.box_bound}"
+            raise ValueError(msg)
 
     def control(self, params: np.ndarray, t_end: float) -> Control:
         times = np.arange(self.n_blocks) * (t_end / self.n_blocks)

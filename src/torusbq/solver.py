@@ -6,11 +6,17 @@ momentum nonlinearity and the advecting velocity), the mode-truncated
 Galerkin variant, the controlled system (a deterministic drift P f h replacing
 or accompanying the noise), and the noiseless skeleton (epsilon = 0).
 
-Per step, with A the Stokes operator and P the Leray projector:
+Per step, with A the Stokes operator, P the Leray projector and G the
+Galerkin truncation (the identity without a mode truncation):
 
-    u'     = (I + dt nu A)^{-1} (u + dt drift + sqrt(eps) P f dW)
-    drift  = -phi P (u.grad u) + P (theta e_d) + P f h(t)
+    u'     = (I + dt nu A)^{-1} G (u + dt drift + sqrt(eps) P f dW)
+    drift  = P (theta e_d - phi (u.grad u)) + P f h(t)
     theta' = advect(theta, phi * u, dt)
+
+The nonlinearity and the buoyancy are summed in one coefficient stack and
+Leray-projected once, as the paper's velocity equation projects them; the
+control drift P f h arrives projected.  G is applied once, to the whole
+update: u already lies in the band, so this equals truncating each term.
 
 Diffusion is implicit (unconditionally stable per mode), everything else
 explicit, noise evaluated at the pre-step state (Ito convention).  The
@@ -158,6 +164,9 @@ class InitialCondition:
             raise ValueError(f"unknown temperature preset {self.temperature!r}")
         if self.seed < 0:
             raise ValueError(f"init seed must be nonnegative, got {self.seed}")
+        for name in ("velocity_amplitude", "temperature_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -165,7 +174,9 @@ class SolverConfig:
     """Everything one trajectory needs; immutable once runs begin.
 
     cutoff_R = 0 disables the cut-off (phi identically 1); galerkin_modes
-    absent means full resolution; epsilon scales the noise as sqrt(epsilon).
+    absent means full resolution; epsilon scales the noise as sqrt(epsilon);
+    a step whose CFL number exceeds cfl_cap is flagged, never with cfl_cap =
+    inf.  Every number must be finite but cfl_cap; a refusal names its field.
     """
 
     grid: Grid
@@ -188,10 +199,10 @@ class SolverConfig:
             self.s = math.ceil(g.dimension / 2 + 2)
         if not 0 <= self.s <= SOBOLEV_INDEX_CAP:
             raise ValueError(f"sobolev index {self.s} outside [0, {SOBOLEV_INDEX_CAP}]")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.t_end > 0:
             if self.dt > self.t_end * (1 + 1e-12):
                 raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
@@ -207,10 +218,14 @@ class SolverConfig:
                 raise ValueError(msg + ", more than this machine's memory")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.cutoff_R < 0:
-            raise ValueError(f"cutoff_R must be nonnegative, got {self.cutoff_R}")
-        if self.viscosity <= 0:
-            raise ValueError(f"viscosity must be positive, got {self.viscosity}")
+        if not 0 <= self.cutoff_R < math.inf:
+            msg = f"cutoff_R must be nonnegative and finite, got {self.cutoff_R}"
+            raise ValueError(msg)
+        if not 0 < self.viscosity < math.inf:
+            msg = f"viscosity must be positive and finite, got {self.viscosity}"
+            raise ValueError(msg)
+        if not self.cfl_cap > 0:
+            raise ValueError(f"cfl_cap must be positive, got {self.cfl_cap}")
         if self.galerkin_modes is not None and not (
             1 <= self.galerkin_modes <= g.n // 2
         ):
@@ -251,35 +266,20 @@ def cutoff(x: float, R: float) -> float:
     return a / (a + b)
 
 
-def _advection_term(u: SpectralVectorField) -> SpectralVectorField:
-    """(u . grad) u, pseudo-spectral with 2/3 dealiasing of the products."""
-    advection = gradient_summary(u).advection
-    return dealias(SpectralVectorField.from_sample_stack(u.grid, advection))
-
-
-def _buoyancy_term(theta: SpectralScalarField) -> SpectralVectorField:
-    grid = theta.grid
-    c = theta.coefficients
-    if not np.any(c):
-        return SpectralVectorField.zero(grid)
-    stack = np.zeros((grid.dimension,) + grid.shape, dtype=np.complex128)
-    stack[-1] = c
-    return leray_project(SpectralVectorField.from_coefficient_stack(grid, stack))
-
-
 def momentum_rhs(state: State, config: SolverConfig):
-    """Explicit momentum drift and the cut-off value used for this step.
+    """Explicit momentum drift, before the step's Galerkin truncation, and
+    the cut-off value used for this step.
 
-    drift = -phi P(u.grad u) + P(theta e_d) + P f h(t), each term Galerkin
-    projected when a mode truncation is configured.  The nonlinearity is
-    skipped entirely when phi = 0, making its contribution exactly zero.
-
-    phi = 0 is settled without transforming grad u when u has no cached
-    gradient summary and the grid RMS of grad u already reaches 2R
-    (spectral.grad_rms_reaches): the sup is at least the RMS, so
-    cutoff(|grad u|_inf, R) would return exactly 0.0 too.
+    drift = P(theta e_d - phi dealias((u.grad) u)) + P f h(t): one Leray
+    projection of the summed stack, skipped (a zero contribution) only when
+    theta = 0 and phi = 0; the control drift arrives projected from
+    forcing.weighted_sum.  phi = 0 is settled without transforming grad u
+    when u has no cached gradient summary and the grid RMS of grad u
+    already reaches 2R (spectral.grad_rms_reaches): the sup is at least
+    the RMS, so cutoff(|grad u|_inf, R) would return exactly 0.0 too.
     """
     u, theta = state.u, state.theta
+    g = u.grid
     R = config.cutoff_R
     if R <= 0:
         phi = 1.0
@@ -287,14 +287,18 @@ def momentum_rhs(state: State, config: SolverConfig):
         phi = 0.0
     else:
         phi = cutoff(velocity_grad_sup(u), R)
-    drift = _buoyancy_term(theta)
+    drift = SpectralVectorField.zero(g)
+    if phi != 0.0 or np.any(theta.coefficients):
+        stack = np.zeros((g.dimension,) + g.shape, dtype=np.complex128)
+        stack[-1] = theta.coefficients
+        if phi != 0.0:
+            advection = gradient_summary(u).advection
+            advection = SpectralVectorField.from_sample_stack(g, advection)
+            stack -= phi * dealias(advection).coefficients
+        drift = leray_project(SpectralVectorField.from_coefficient_stack(g, stack))
     if config.control is not None:
         h = config.control.value_at(state.t)
         drift = drift + weighted_sum(config.noise, u, theta, h)
-    if phi != 0.0:
-        drift = drift - phi * leray_project(_advection_term(u))
-    if config.galerkin_modes is not None:
-        drift = galerkin_project(drift, config.galerkin_modes)
     return drift, phi
 
 
@@ -304,7 +308,8 @@ def step(
     stream: Optional[RandomStream] = None,
     step_index: int = 0,
 ):
-    """Advance one step; returns (new state, info dict).
+    """Advance one step, as the module docstring writes it (one Galerkin
+    truncation of the whole update); returns (new state, info dict).
 
     info carries phi, the CFL number of the advecting velocity, and the
     divergence defect of the updated velocity (reported, never corrected).
@@ -325,9 +330,9 @@ def step(
     if config.epsilon > 0:
         inc = sample_increment(config.noise.spec, dt, stream, step_index)
         forcing = apply_noise(config.noise, state.u, state.theta, inc)
-        if config.galerkin_modes is not None:
-            forcing = galerkin_project(forcing, config.galerkin_modes)
         pre = pre + math.sqrt(config.epsilon) * forcing
+    if config.galerkin_modes is not None:
+        pre = galerkin_project(pre, config.galerkin_modes)
     u_new = implicit_diffusion_solve(pre, dt, config.viscosity)
 
     finite = np.isfinite(u_new.coefficients)
@@ -442,15 +447,11 @@ _NORMS = {
 _2D_COLUMNS = frozenset("l2_w l4_w l2_grad_w l4_grad_w int_grad_w_h".split())
 
 
-def _diagnostic_row(row, state: State, config: SolverConfig, columns, theta_row=None):
+def _diagnostic_row(row, state: State, config: SolverConfig, columns):
     """Write t and the norms and h_h0 named in the set columns into the
     blank table row.  w and grad w are computed once, at the first vorticity
     column: computed before grad u's summary, they slowed a 2D 128^2 step by
     about 5%.
-
-    theta_row, when given, is the row of a state holding the same theta
-    object (a step that left theta alone: phi = 0 or u = 0); its theta
-    columns are copied, bitwise what recomputing them would give.
     """
     u = state.u
     row[_COL["t"]] = state.t
@@ -462,9 +463,7 @@ def _diagnostic_row(row, state: State, config: SolverConfig, columns, theta_row=
             fields["w"] = perp_div_2d(u)
             fields["grad_w"] = gradient(fields["w"])
         if source in fields:
-            j = _COL[name]
-            copy = theta_row is not None and source == "theta"
-            row[j] = theta_row[j] if copy else norm(fields[source], config.s)
+            row[_COL[name]] = norm(fields[source], config.s)
     if "h_h0" in columns and config.control is not None:
         row[_COL["h_h0"]] = np.linalg.norm(config.control.value_at(state.t))
 
@@ -616,9 +615,7 @@ def run(
                 record.stop_reason = f"blow_up:{exc.diagnostic}"
                 record.blown_up = True
                 break
-            prev = table[i - 1]
-            theta_row = prev if new_state.theta is state.theta else None
-            _diagnostic_row(row, new_state, config, columns, theta_row)
+            _diagnostic_row(row, new_state, config, columns)
             row[_COL["phi_value"]] = info["phi"]
             row[_COL["cfl"]] = info["cfl"]
             row[_COL["cfl_violated"]] = info["cfl"] > config.cfl_cap
@@ -628,6 +625,7 @@ def run(
                     state, new_state, table[i - 1 : i + 1], config
                 )
             if "int_grad_w_h" in columns:
+                prev = table[i - 1]
                 row[_COL["int_grad_w_h"]] = prev[_COL["int_grad_w_h"]] + config.dt * (
                     prev[_COL["l2_grad_w"]] + prev[_COL["h_h0"]]
                 )

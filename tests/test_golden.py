@@ -140,35 +140,35 @@ GOLDEN = {
         "state_mollified.bqsf": "19aa3655fa5c7ac729f7b287f6cfbd9db423ec3fe33da90e10c710f9eb621e83",
     },
     "simulate": {
-        "state_final.bqsf": "bb4ce9771df7a2fdf9d2c8a4205eaa214bb3910d9a69142749a113669d4b1cf3",
+        "state_final.bqsf": "9cbb5a80bb55137d6ab7b733d8ff7bed875bbbe903d2c75abe8ed3d58b58dbf6",
         "timeseries.csv": "f221409e0b5eb7082162137c2ce32b558e21d2b4d42c5768515534968776361e",
     },
     "simulate-3d": {
-        "state_final.bqsf": "408d5eeaddf16970cf432b62b7740cd8069260acb7b420f587011152b1bd8cde",
+        "state_final.bqsf": "ba1f2bd8a482b95031aa5e067936e5524b0827f4b8188e506289fd858cefc683",
         "timeseries.csv": "2ba5ac3a3441b4a7cbcbb3d14492af9155d7fcb4b7c948b78f4ebab4458f0cdf",
     },
     "simulate-blow-up": {
-        "state_final.bqsf": "dfddf5555a23c467bf1e8179fbcbb00f5ba570cb766ab733f9391712a4f153a1",
-        "timeseries.csv": "34a9b5a0929349d4c49f576f9ff81df77bebccbb54a3844118d8380c734b745a",
+        "state_final.bqsf": "66556e0337c8f41f9d2be103d978576f9f983e25a14eb7ad9da46af8499c4e72",
+        "timeseries.csv": "dd58a296d511b852f183210d3982a25a7c78afcd9233a02fe9b1c184a88d8195",
     },
     "simulate-galerkin": {
-        "state_final.bqsf": "cec6186dc7fda8298e6a6859c2c7ba618700ed94239e54e346a46bad7401f489",
+        "state_final.bqsf": "d8215fcec24285e049456807b7914600161f68fc9203022d05c41922f259416c",
         "timeseries.csv": "0f453fedf24f5f6d55432317965d71bb8aa074ca2391d1d68938a00beff3465a",
     },
     "simulate-linear-sl": {
-        "state_final.bqsf": "7d7a3d4a8dfcd54055d3d102b45fb66044854c1e44c3e58b3e8605b0fcfe78ac",
+        "state_final.bqsf": "9c903a25e01b28d714bb05cd1f1a3ec6b0d092f23860429376d096f4b32cca26",
         "timeseries.csv": "d02c521bd0c71d08f559f3a98e5429cb4a2e63659b5754e446121f3188a53ee4",
     },
     "simulate-multiplicative-cutoff": {
-        "state_final.bqsf": "55fb1756e6b1c4d69539a5309872e728d5f0fda56f6d3eb603073055940923de",
+        "state_final.bqsf": "eadaa649622aff5fa357ffd3567ca04c8227b6e87f5824eedc0cdd98a3dc9c30",
         "timeseries.csv": "528f73369d577cc3b4ca3a124f7d0b74afc9519b2306ca45c90e44bf6b29f52a",
     },
     "simulate-spectral-rk2": {
-        "state_final.bqsf": "14adfd482ff4abd2b32add7a29afdbdc2fea717b3588fc939fd4ac65de4351b2",
+        "state_final.bqsf": "a41279140df10f7ed3fe949db101ad5eba2f9c4512e3d834cdc0365a8af2912e",
         "timeseries.csv": "51fd7afc0f8ab93540a4af3c3680e2cc6172a0b042ee9cd66812b9ab96d98ba6",
     },
     "skeleton-control": {
-        "state_final.bqsf": "94e1b1fbcde58a92d07c41f719bef63c41c16bcf81345fabcd285c54e80a02db",
+        "state_final.bqsf": "78b32cfccd806ea40190340aa5d513a16a6ac37b86fba9296ada86155bd7946a",
         "timeseries.csv": "18427b87c29d8559f3ee912fef13daf921c14c1a1d9e55121aaedd6c2d4a0bac",
     },
 }

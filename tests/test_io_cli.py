@@ -237,7 +237,7 @@ class TestSchema:
         assert set(ROW_CASES) == set(ROWS)
 
     def test_config_keys(self):
-        # the 25 words of the hand-written table, and the initial seed's
+        # the 25 words of the hand-written table, the initial seed's and cfl_cap's
         assert CONFIG_KEYS == {
             "dimension": "[domain].dimension",
             "resolution": "[domain].resolution",
@@ -245,6 +245,7 @@ class TestSchema:
             "cutoff_R": "[physics].cutoff_R",
             "viscosity": "[physics].viscosity",
             "galerkin_modes": "[physics].galerkin_modes",
+            "cfl_cap": "[physics].cfl_cap",
             "advection": "[physics].advection",
             "interpolation": "[physics].interpolation",
             "velocity preset": "[physics].init_velocity",
@@ -830,6 +831,8 @@ class TestCli:
             # float() parses nan and inf, which every float key refuses
             ("physics", "viscosity", "nan"),
             ("physics", "cfl_cap", "nan"),
+            # finite but refused by SolverConfig, which names the field
+            ("physics", "cfl_cap", "0"),
             ("time", "dt", "nan"),
             ("time", "t_end", "inf"),
             ("physics", "init_velocity_amplitude", "nan"),

@@ -20,8 +20,8 @@ from torusbq.solver import (
     COLUMNS,
     SolverConfig,
     State,
-    _advection_term,
     _diagnostic_row,
+    momentum_rhs,
 )
 from torusbq.spectral import (
     Grid,
@@ -182,15 +182,19 @@ def test_velocity_grad_sup(grid):
 
 
 def test_advection_term(grid):
+    # theta = 0 and no cut-off (phi = 1): the drift is -P dealias((v . grad) v)
     v = leray_project(random_field(grid, 9, kmax=grid.n // 3))
-    want = ref_advection(grid, per_component(v))
-    assert close(_advection_term(v).coefficients, want)
+    want = [-c for c in ref_leray(grid, ref_advection(grid, per_component(v)))]
+    state = State(0.0, v, SpectralScalarField.zero(grid))
+    drift, phi = momentum_rhs(state, SolverConfig(grid=grid, dt=0.01, t_end=0.01))
+    assert phi == 1.0
+    assert close(drift.coefficients, want)
 
 
 def test_grad_u_transformed_once_per_state(grid, monkeypatch):
-    """velocity_grad_sup, _advection_term and a row naming every column share
-    one transform of grad u: the only transform of a (d+1, d, *grid.shape)
-    stack."""
+    """velocity_grad_sup, momentum_rhs's advection product and a row naming
+    every column share one transform of grad u: the only transform of a
+    (d+1, d, *grid.shape) stack."""
     stacks = []
     original = scipy.fft.ifftn
 
@@ -205,7 +209,8 @@ def test_grad_u_transformed_once_per_state(grid, monkeypatch):
     config = SolverConfig(grid=grid, dt=0.01, t_end=0.01, cutoff_R=1e6)
 
     sup = velocity_grad_sup(u)
-    _advection_term(u)
+    _, phi = momentum_rhs(State(0.0, u, SpectralScalarField.zero(grid)), config)
+    assert phi == 1.0
     row = BLANK_ROW.copy()
     _diagnostic_row(row, State(0.0, u, theta), config, set(COLUMNS))
     assert row[COLUMNS.index("linf_grad_u")] == sup

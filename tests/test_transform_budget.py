@@ -1,4 +1,5 @@
-"""Exact Fourier-transform counts of one step and one diagnostic row.
+"""Exact Fourier-transform counts of one step and one diagnostic row, and
+the Leray projections of one momentum drift.
 
 Transform counts are deterministic, unlike wall times, so they are the gate
 on the spectral core's cost: a change that adds a transform to the step or
@@ -20,9 +21,11 @@ from torusbq.forcing import (
     default_mode_fields,
     default_qwiener,
 )
+import torusbq.solver as solver_module
 from torusbq.solver import (
     BLANK_ROW,
     COLUMNS,
+    Control,
     InitialCondition,
     NoiseModel,
     SolverConfig,
@@ -30,6 +33,7 @@ from torusbq.solver import (
     _energy_residual,
     _prepare_state,
     build_initial_state,
+    momentum_rhs,
     step,
 )
 from torusbq.spectral import Grid, SpectralVectorField
@@ -175,3 +179,46 @@ def test_saturated_cutoff_light_steps(count_transforms):
         row = BLANK_ROW.copy()
         _, used = count_transforms(_diagnostic_row, row, state, config, set())
         assert used == 0
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["additive", "controlled"])
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize(
+    "velocity, temperature, cutoff_R, projections",
+    [
+        ("taylor_green", "sine", 0.0, 1),
+        ("taylor_green", "sine", 1e-6, 1),  # phi = 0: the buoyancy alone
+        ("taylor_green", "zero", 0.0, 1),  # theta = 0: the nonlinearity alone
+        # u = 0 at phi = 1 still projects: the OU toys start this way
+        ("zero", "zero", 0.0, 1),
+        ("taylor_green", "zero", 1e-6, 0),  # phi = 0 and theta = 0
+    ],
+    ids=["both", "buoyancy", "nonlinearity", "zero-velocity", "none"],
+)
+def test_one_projection_per_drift(
+    monkeypatch, dimension, controlled, velocity, temperature, cutoff_R, projections
+):
+    # The buoyancy and the nonlinearity are projected together, once; the
+    # control drift comes projected from forcing.weighted_sum.
+    calls = []
+
+    def counted(v, _original=solver_module.leray_project):
+        calls.append(v)
+        return _original(v)
+
+    monkeypatch.setattr(solver_module, "leray_project", counted)
+    grid = Grid(dimension, 16 if dimension == 2 else 8)
+    spec = default_qwiener(dimension, 3)
+    config = SolverConfig(
+        grid=grid,
+        dt=0.01,
+        t_end=0.01,
+        cutoff_R=cutoff_R,
+        noise=NoiseModel(spec, additive_intensity(default_mode_fields(grid, spec))),
+        control=Control([0.0], [[1.5, 0.0, -0.5]]) if controlled else None,
+        init=InitialCondition(velocity=velocity, temperature=temperature),
+    )
+    state = _prepare_state(build_initial_state(config), config)
+    _, phi = momentum_rhs(state, config)
+    assert phi == (0.0 if cutoff_R else 1.0)
+    assert len(calls) == projections
